@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-parallel bench-stream bench-scale demo-stream demo-serve demo-arena report tables figures clean
+.PHONY: all check build test test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-parallel bench-stream bench-scale demo-stream demo-serve demo-arena report report-diff tables figures clean
 
 all: check
 
@@ -130,6 +130,20 @@ demo-arena:
 # Paper-length regeneration of the full evaluation.
 report:
 	$(GO) run ./cmd/causalfl report -out docs/EVALUATION.md
+
+# The gate for refactors of eval and the arena: regenerate the paper-length
+# evaluation into a temporary file and diff it against the committed
+# docs/EVALUATION.md. Only wall-clock figures are masked (the "(_…_)"
+# section footers and the two wall columns of "Extension — scalability");
+# every other byte must match. Kept out of check and CI because a full
+# regeneration takes minutes (about 210 s on a 2-vCPU machine).
+report-diff:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mask() { awk '/^## /{sec = $$0} sec ~ /scalability/ && NF == 6 && $$1 ~ /^[0-9]+$$/ {$$5 = $$6 = "<wall>"} /^\(_.*_\)$$/ {$$0 = "(_<wall>_)"} {print}' "$$1"; }; \
+	$(GO) run ./cmd/causalfl report -out "$$tmp/report.md" || exit 1; \
+	mask docs/EVALUATION.md > "$$tmp/committed.md"; \
+	mask "$$tmp/report.md" > "$$tmp/regenerated.md"; \
+	diff -u "$$tmp/committed.md" "$$tmp/regenerated.md"
 
 tables:
 	$(GO) run ./cmd/causalfl tables

@@ -19,8 +19,10 @@ import (
 	"causalfl/internal/apps"
 	"causalfl/internal/apps/causalbench"
 	"causalfl/internal/apps/robotshop"
+	"causalfl/internal/arena"
 	"causalfl/internal/baselines"
 	"causalfl/internal/chaos"
+	"causalfl/internal/clock"
 	"causalfl/internal/core"
 	"causalfl/internal/eval"
 	"causalfl/internal/load"
@@ -34,25 +36,25 @@ var benchOpts = eval.Options{Seed: 42, Quick: true}
 
 // --- Table I ---------------------------------------------------------------
 
-// tableIBench trains at 1x and evaluates at the given multiplier.
-func tableIBench(b *testing.B, build apps.Builder, mult float64) {
+// runBench runs the train-then-evaluate campaign under cfg and reports its
+// accuracy and informativeness.
+func runBench(b *testing.B, cfg eval.Config) {
 	b.Helper()
 	var acc, info float64
 	for i := 0; i < b.N; i++ {
-		cfg := benchOpts.Apply(eval.Config{
-			Build:          build,
-			Metrics:        metrics.DerivedAll(),
-			TestMultiplier: mult,
-		})
-		model, report, err := eval.TrainAndEvaluate(context.Background(), cfg)
+		_, report, err := eval.Run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = model
 		acc, info = report.Accuracy, report.MeanInformativeness
 	}
 	b.ReportMetric(acc, "accuracy")
 	b.ReportMetric(info, "informativeness")
+}
+
+// tableIBench trains at 1x and evaluates at the given multiplier.
+func tableIBench(b *testing.B, build apps.Builder, mult float64) {
+	runBench(b, benchOpts.Apply(eval.Config{Build: build, Metrics: metrics.DerivedAll(), TestMultiplier: mult}))
 }
 
 func BenchmarkTableI_CausalBench_1x(b *testing.B) { tableIBench(b, causalbench.Build, 1) }
@@ -62,6 +64,31 @@ func BenchmarkTableI_RobotShop_4x(b *testing.B)   { tableIBench(b, robotshop.Bui
 
 // --- Table II --------------------------------------------------------------
 
+// gradeBench collects one shared training and test campaign under cfg and
+// reports the arena's containment accuracy and informativeness for tech.
+func gradeBench(b *testing.B, cfg eval.Config, tech baselines.Technique) {
+	b.Helper()
+	var acc, info float64
+	for i := 0; i < b.N; i++ {
+		ctx := context.Background()
+		data, err := eval.CollectTraining(ctx, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cases, err := eval.CollectTests(ctx, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err := arena.Grade(ctx, &clock.Fake{}, []baselines.Technique{tech}, data, cases)
+		if err != nil {
+			b.Fatal(err)
+		}
+		acc, info = rows[0].Contain, rows[0].MeanInformativeness
+	}
+	b.ReportMetric(acc, "accuracy")
+	b.ReportMetric(info, "informativeness")
+}
+
 // tableIIBench scores one metric-set preset at 4x test load.
 func tableIIBench(b *testing.B, build apps.Builder, preset string) {
 	b.Helper()
@@ -70,23 +97,8 @@ func tableIIBench(b *testing.B, build apps.Builder, preset string) {
 		b.Fatal(err)
 	}
 	union := append(metrics.RawAll(), metrics.DerivedAll()...)
-	var acc, info float64
-	for i := 0; i < b.N; i++ {
-		cfg := benchOpts.Apply(eval.Config{
-			Build:          build,
-			Metrics:        union,
-			TestMultiplier: 4,
-		})
-		scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
-			&baselines.Paper{MetricNames: metrics.Names(set)},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc, info = scores[0].Accuracy, scores[0].MeanInformativeness
-	}
-	b.ReportMetric(acc, "accuracy")
-	b.ReportMetric(info, "informativeness")
+	cfg := benchOpts.Apply(eval.Config{Build: build, Metrics: union, TestMultiplier: 4})
+	gradeBench(b, cfg, &baselines.Paper{MetricNames: metrics.Names(set)})
 }
 
 func BenchmarkTableII_CausalBench_RawMsg(b *testing.B) {
@@ -171,55 +183,22 @@ func BenchmarkCausalSetsExample(b *testing.B) {
 	b.ReportMetric(match, "paper-matching-sets")
 }
 
-// --- Baseline comparison (§VI-B / §VII narrative) ----------------------------
-
-func baselineBench(b *testing.B, build apps.Builder, name string) {
-	b.Helper()
-	var ourAcc, errlogInfo float64
-	for i := 0; i < b.N; i++ {
-		result, err := eval.RunBaselineComparison(context.Background(), benchOpts, build, name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ourAcc = result.Scores[0].Accuracy
-		errlogInfo = result.Scores[1].MeanInformativeness
-	}
-	b.ReportMetric(ourAcc, "our-accuracy")
-	b.ReportMetric(errlogInfo, "errlog-informativeness")
-}
-
-func BenchmarkBaselines_CausalBench(b *testing.B) {
-	baselineBench(b, causalbench.Build, causalbench.Name)
-}
-func BenchmarkBaselines_RobotShop(b *testing.B) {
-	baselineBench(b, robotshop.Build, robotshop.Name)
-}
-
 // --- Ablations (design choices from DESIGN.md §5) ---------------------------
 
-// ablationRun runs a CausalBench campaign with a config mutation.
-func ablationRun(b *testing.B, mutate func(*eval.Config)) (acc, info float64) {
-	b.Helper()
-	cfg := benchOpts.Apply(eval.Config{
+// ablationConfig is the CausalBench derived-metric campaign at 4x test load
+// that every ablation runs on.
+func ablationConfig() eval.Config {
+	return benchOpts.Apply(eval.Config{
 		Build:          causalbench.Build,
 		Metrics:        metrics.DerivedAll(),
 		TestMultiplier: 4,
 	})
-	mutate(&cfg)
-	_, report, err := eval.TrainAndEvaluate(context.Background(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return report.Accuracy, report.MeanInformativeness
 }
 
 func benchAblationAlpha(b *testing.B, alpha float64) {
-	var acc, info float64
-	for i := 0; i < b.N; i++ {
-		acc, info = ablationRun(b, func(c *eval.Config) { c.Alpha = alpha })
-	}
-	b.ReportMetric(acc, "accuracy")
-	b.ReportMetric(info, "informativeness")
+	cfg := ablationConfig()
+	cfg.Alpha = alpha
+	runBench(b, cfg)
 }
 
 func BenchmarkAblation_Alpha001(b *testing.B) { benchAblationAlpha(b, 0.01) }
@@ -227,15 +206,9 @@ func BenchmarkAblation_Alpha005(b *testing.B) { benchAblationAlpha(b, 0.05) }
 func BenchmarkAblation_Alpha010(b *testing.B) { benchAblationAlpha(b, 0.10) }
 
 func benchAblationWindow(b *testing.B, length, hop time.Duration) {
-	var acc, info float64
-	for i := 0; i < b.N; i++ {
-		acc, info = ablationRun(b, func(c *eval.Config) {
-			c.WindowLength = length
-			c.WindowHop = hop
-		})
-	}
-	b.ReportMetric(acc, "accuracy")
-	b.ReportMetric(info, "informativeness")
+	cfg := ablationConfig()
+	cfg.WindowLength, cfg.WindowHop = length, hop
+	runBench(b, cfg)
 }
 
 func BenchmarkAblation_Window15s(b *testing.B) {
@@ -249,109 +222,46 @@ func BenchmarkAblation_Window60s(b *testing.B) {
 }
 
 func benchAblationDuration(b *testing.B, d time.Duration) {
-	var acc, info float64
-	for i := 0; i < b.N; i++ {
-		acc, info = ablationRun(b, func(c *eval.Config) {
-			c.BaselineDuration = d
-			c.FaultDuration = d
-		})
-	}
-	b.ReportMetric(acc, "accuracy")
-	b.ReportMetric(info, "informativeness")
+	cfg := ablationConfig()
+	cfg.BaselineDuration, cfg.FaultDuration = d, d
+	runBench(b, cfg)
 }
 
 func BenchmarkAblation_Duration75s(b *testing.B)  { benchAblationDuration(b, 75*time.Second) }
 func BenchmarkAblation_Duration150s(b *testing.B) { benchAblationDuration(b, 150*time.Second) }
 func BenchmarkAblation_Duration300s(b *testing.B) { benchAblationDuration(b, 300*time.Second) }
 
-// benchVoteRule compares the localizer's vote rules on identical data.
-func benchVoteRule(b *testing.B, rule core.VoteRule) {
-	var acc, info float64
-	union := metrics.DerivedAll()
-	for i := 0; i < b.N; i++ {
-		cfg := benchOpts.Apply(eval.Config{
-			Build:          causalbench.Build,
-			Metrics:        union,
-			TestMultiplier: 4,
-		})
-		scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
-			&baselines.Paper{Rule: rule},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc, info = scores[0].Accuracy, scores[0].MeanInformativeness
-	}
-	b.ReportMetric(acc, "accuracy")
-	b.ReportMetric(info, "informativeness")
-}
-
+// The localizer's vote rules, graded on identical data.
 func BenchmarkAblation_VoteIntersectionParsimony(b *testing.B) {
-	benchVoteRule(b, core.IntersectionVote)
+	gradeBench(b, ablationConfig(), &baselines.Paper{Rule: core.IntersectionVote})
 }
 func BenchmarkAblation_VotePureIntersection(b *testing.B) {
-	benchVoteRule(b, core.PureIntersectionVote)
+	gradeBench(b, ablationConfig(), &baselines.Paper{Rule: core.PureIntersectionVote})
 }
 func BenchmarkAblation_VoteJaccard(b *testing.B) {
-	benchVoteRule(b, core.JaccardVote)
+	gradeBench(b, ablationConfig(), &baselines.Paper{Rule: core.JaccardVote})
 }
 
-// benchTestRule ablates the two-sample decision rule itself.
-func benchTestRule(b *testing.B, test stats.TwoSampleTest) {
-	var acc, info float64
-	for i := 0; i < b.N; i++ {
-		cfg := benchOpts.Apply(eval.Config{
-			Build:          causalbench.Build,
-			Metrics:        metrics.DerivedAll(),
-			TestMultiplier: 4,
-		})
-		scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
-			&baselines.Paper{Test: test},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc, info = scores[0].Accuracy, scores[0].MeanInformativeness
-	}
-	b.ReportMetric(acc, "accuracy")
-	b.ReportMetric(info, "informativeness")
+// Per-test alpha vs Benjamini-Hochberg FDR control.
+func BenchmarkAblation_DecisionAlpha(b *testing.B) {
+	gradeBench(b, ablationConfig(), &baselines.Paper{FDR: 0})
+}
+func BenchmarkAblation_DecisionFDR(b *testing.B) {
+	gradeBench(b, ablationConfig(), &baselines.Paper{FDR: 0.05})
 }
 
-// benchDecision ablates per-test alpha vs Benjamini-Hochberg FDR control.
-func benchDecision(b *testing.B, fdr float64) {
-	var acc, info float64
-	for i := 0; i < b.N; i++ {
-		cfg := benchOpts.Apply(eval.Config{
-			Build:          causalbench.Build,
-			Metrics:        metrics.DerivedAll(),
-			TestMultiplier: 4,
-		})
-		scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
-			&baselines.Paper{FDR: fdr},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc, info = scores[0].Accuracy, scores[0].MeanInformativeness
-	}
-	b.ReportMetric(acc, "accuracy")
-	b.ReportMetric(info, "informativeness")
-}
-
-func BenchmarkAblation_DecisionAlpha(b *testing.B) { benchDecision(b, 0) }
-func BenchmarkAblation_DecisionFDR(b *testing.B)   { benchDecision(b, 0.05) }
-
+// The two-sample decision rule itself.
 func BenchmarkAblation_TestGuardedKS(b *testing.B) {
-	benchTestRule(b, stats.GuardedTest{Inner: stats.KSTest{}})
+	gradeBench(b, ablationConfig(), &baselines.Paper{Test: stats.GuardedTest{Inner: stats.KSTest{}}})
 }
 func BenchmarkAblation_TestRawKS(b *testing.B) {
-	benchTestRule(b, stats.KSTest{})
+	gradeBench(b, ablationConfig(), &baselines.Paper{Test: stats.KSTest{}})
 }
 func BenchmarkAblation_TestMannWhitney(b *testing.B) {
-	benchTestRule(b, stats.GuardedTest{Inner: stats.MannWhitneyTest{}})
+	gradeBench(b, ablationConfig(), &baselines.Paper{Test: stats.GuardedTest{Inner: stats.MannWhitneyTest{}}})
 }
 func BenchmarkAblation_TestPermutation(b *testing.B) {
-	benchTestRule(b, stats.GuardedTest{Inner: stats.PermutationTest{Rounds: 100, Seed: 1}})
+	gradeBench(b, ablationConfig(), &baselines.Paper{Test: stats.GuardedTest{Inner: stats.PermutationTest{Rounds: 100, Seed: 1}}})
 }
 
 // --- Extensions --------------------------------------------------------------
@@ -423,7 +333,7 @@ func BenchmarkExtension_SeedSweep(b *testing.B) {
 func BenchmarkExtension_NonstationaryLoad(b *testing.B) {
 	var rawAcc, derivedAcc float64
 	for i := 0; i < b.N; i++ {
-		result, err := eval.RunNonstationaryExtension(context.Background(), benchOpts)
+		result, err := arena.RunNonstationaryExtension(context.Background(), benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}

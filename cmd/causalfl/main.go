@@ -1,7 +1,8 @@
 // Command causalfl is the front door to the fault-localization pipeline: it
 // trains interventional causal models on the benchmark applications,
-// localizes injected faults, evaluates campaigns, and regenerates the
-// paper's tables and figures.
+// localizes injected faults, evaluates campaigns, grades competing
+// techniques head to head in the arena, and regenerates the paper's tables
+// and figures.
 //
 // Usage:
 //
@@ -10,7 +11,7 @@
 //	causalfl train    -app causalbench|robotshop [-metrics preset] [-out model.json] [-quick]
 //	causalfl localize -app causalbench|robotshop -model model.json -fault SVC [-mult M]
 //	causalfl evaluate -app causalbench|robotshop [-metrics preset] [-mult M] [-quick]
-//	causalfl compare  -app causalbench|robotshop [-quick]
+//	causalfl arena    [-app causalbench|robotshop|both] [-mults 1,4] [-losses 0,0.2] [-quick] [-seed N] [-workers N] [-json] [-out FILE]
 //	causalfl topology -app causalbench|robotshop
 //	causalfl extensions [-quick] [-seed N]
 //	causalfl sweep    -app causalbench|robotshop [-seeds N] [-mult M] [-quick] [-degraded]
@@ -41,6 +42,7 @@ import (
 	"causalfl/internal/apps"
 	"causalfl/internal/apps/causalbench"
 	"causalfl/internal/apps/robotshop"
+	"causalfl/internal/arena"
 	"causalfl/internal/chaos"
 	"causalfl/internal/clock"
 	"causalfl/internal/core"
@@ -65,7 +67,7 @@ func main() {
 
 func run(ctx context.Context, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("missing subcommand (tables, figures, train, collect, learn, worlds, localize, explain, evaluate, compare, arena, topology, extensions, sweep, scale, bench, watch, report, serve, diff)")
+		return fmt.Errorf("missing subcommand (tables, figures, train, collect, learn, worlds, localize, explain, evaluate, arena, topology, extensions, sweep, scale, bench, watch, report, serve, diff)")
 	}
 	switch args[0] {
 	case "tables":
@@ -80,8 +82,6 @@ func run(ctx context.Context, args []string) error {
 		return cmdExplain(ctx, args[1:])
 	case "evaluate":
 		return cmdEvaluate(ctx, args[1:])
-	case "compare":
-		return cmdCompare(ctx, args[1:])
 	case "arena":
 		return cmdArena(ctx, args[1:])
 	case "topology":
@@ -184,7 +184,7 @@ func cmdTables(ctx context.Context, args []string) error {
 		fmt.Println(result)
 	}
 	if *table == 0 || *table == 2 {
-		result, err := eval.RunTableII(ctx, o)
+		result, err := arena.RunTableII(ctx, o)
 		if err != nil {
 			return err
 		}
@@ -386,25 +386,6 @@ func cmdEvaluate(ctx context.Context, args []string) error {
 	return nil
 }
 
-func cmdCompare(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	var cf commonFlags
-	cf.register(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	build, err := builderFor(cf.app)
-	if err != nil {
-		return err
-	}
-	result, err := eval.RunBaselineComparison(ctx, cf.options(), build, cf.app)
-	if err != nil {
-		return err
-	}
-	fmt.Print(result)
-	return nil
-}
-
 func cmdTopology(args []string) error {
 	fs := flag.NewFlagSet("topology", flag.ContinueOnError)
 	app := fs.String("app", causalbench.Name, "application")
@@ -456,7 +437,7 @@ func cmdExtensions(ctx context.Context, args []string) error {
 		return err
 	}
 	fmt.Println(tracesVs)
-	nonstationary, err := eval.RunNonstationaryExtension(ctx, o)
+	nonstationary, err := arena.RunNonstationaryExtension(ctx, o)
 	if err != nil {
 		return err
 	}

@@ -16,9 +16,10 @@ import (
 // cmdServe runs the long-running localization service: the multi-tenant
 // streaming API from internal/serve (bounded ingest queues, crash-safe
 // snapshots, restore-on-boot) with the webui dashboard mounted beside it.
-// On SIGINT/SIGTERM the HTTP listener stops, every tenant flushes its queue
-// and writes a final snapshot, and only then does the process exit — so the
-// next boot resumes exactly where this one stopped.
+// On SIGINT/SIGTERM parked verdict long-polls are released, the HTTP
+// listener stops, every tenant flushes its queue and writes a final
+// snapshot, and only then does the process exit — so the next boot resumes
+// exactly where this one stopped.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
@@ -78,14 +79,11 @@ func cmdServe(ctx context.Context, args []string) error {
 		return err
 	case <-ctx.Done():
 	}
-	// The signal context is spent; the drain deliberately runs unbounded so
-	// final snapshots always land (a second Ctrl-C kills the process the
-	// usual way). Shutdown first so no new ingest races the drain.
+	// The signal context is spent; the shutdown deliberately runs unbounded
+	// so final snapshots always land (a second Ctrl-C kills the process the
+	// usual way).
 	fmt.Fprintln(os.Stderr, "shutting down: draining tenants and writing final snapshots...")
-	if err := hs.Shutdown(context.Background()); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if err := api.Drain(context.Background()); err != nil {
+	if err := api.Shutdown(context.Background(), hs); err != nil {
 		return err
 	}
 	st := api.Stats()

@@ -15,7 +15,9 @@ import (
 	"log"
 
 	"causalfl/internal/apps/robotshop"
+	"causalfl/internal/arena"
 	"causalfl/internal/baselines"
+	"causalfl/internal/clock"
 	"causalfl/internal/eval"
 	"causalfl/internal/metrics"
 )
@@ -42,17 +44,29 @@ func run(quick bool, seed int64) error {
 	})
 
 	fmt.Println("robot-shop: training at 1x, localizing every fault at 4x load ...")
-	scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
+	ctx := context.Background()
+	data, err := eval.CollectTraining(ctx, cfg)
+	if err != nil {
+		return err
+	}
+	cases, err := eval.CollectTests(ctx, cfg)
+	if err != nil {
+		return err
+	}
+	rows, err := arena.Grade(ctx, &clock.Fake{}, []baselines.Technique{
 		&baselines.Paper{MetricNames: metrics.Names(metrics.DerivedAll())},
 		baselines.ErrLogOnly(),
 		&baselines.SingleWorld{},
 		&baselines.Observational{},
 		&baselines.RandomGuess{Seed: seed},
-	})
+	}, data, cases)
 	if err != nil {
 		return err
 	}
-	fmt.Print(eval.RenderScores("technique comparison (robot-shop, test load 4x)", scores))
+	fmt.Printf("%-32s %-9s %s\n", "technique", "accuracy", "informativeness")
+	for _, row := range rows {
+		fmt.Printf("%-32s %-9.2f %.2f\n", row.Technique, row.Contain, row.MeanInformativeness)
+	}
 	fmt.Println("\nreading guide:")
 	fmt.Println("  - derived metrics + per-metric worlds keep accuracy under load drift")
 	fmt.Println("  - the error-log-only baseline misses faults that surface as omissions")

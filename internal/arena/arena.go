@@ -16,6 +16,10 @@
 // clock.Clock: by default each cell gets its own clock.Fake (deterministic
 // virtual timings, suitable for goldens), and callers opt into clock.Wall
 // for real host timings.
+//
+// Grade is the package's one grading harness. The cells and the paper's
+// technique-comparison experiments (Table II, the nonstationary-load
+// extension) all score through it.
 package arena
 
 import (
@@ -249,59 +253,51 @@ func runCell(ctx context.Context, o Options, app AppSpec, mult, loss float64) (C
 		Cases:      len(cases),
 		services:   len(data.Baseline.Services),
 	}
-	nServices := len(data.Baseline.Services)
-
-	for _, tech := range roster(cfg.Seed, built.Edges) {
-		row, err := measure(ctx, clk, tech, data, cases, nServices)
+	cell.Rows, err = Grade(ctx, clk, roster(cfg.Seed, built.Edges), data, cases)
+	if err != nil {
+		return Cell{}, fmt.Errorf("arena: %s x%g loss %g: %w", app.Name, mult, loss, err)
+	}
+	// Sample efficiency: regrade a fresh roster trained on truncated
+	// windows and keep its containment accuracy. Untimed — a private clock
+	// keeps the cell clock's readings, so the phase timings above always
+	// describe full training.
+	for _, frac := range o.Fractions {
+		rows, err := Grade(ctx, &clock.Fake{}, roster(cfg.Seed, built.Edges), truncateTraining(data, frac), cases)
 		if err != nil {
-			return Cell{}, fmt.Errorf("arena: %s x%g loss %g: %s: %w", app.Name, mult, loss, tech.Name(), err)
+			return Cell{}, fmt.Errorf("arena: %s @%g: %w", app.Name, frac, err)
 		}
-		// Sample efficiency: retrain a fresh instance per fraction on
-		// truncated training windows and re-grade containment accuracy.
-		// Untimed — the phase timings above always describe full training.
-		for _, frac := range o.Fractions {
-			fresh := roster(cfg.Seed, built.Edges)[rowIndex(tech.Name())]
-			truncated := truncateTraining(data, frac)
-			if err := fresh.Train(ctx, truncated.Baseline, truncated.Interventions); err != nil {
-				return Cell{}, fmt.Errorf("arena: %s @%g: retrain %s: %w", app.Name, frac, tech.Name(), err)
-			}
-			correct := 0
-			for _, tc := range cases {
-				cands, err := fresh.Localize(ctx, tc.Production)
-				if err != nil {
-					return Cell{}, fmt.Errorf("arena: %s @%g: %s: %w", app.Name, frac, tech.Name(), err)
-				}
-				if containsService(cands, tc.Target) {
-					correct++
-				}
-			}
-			acc := 0.0
-			if len(cases) > 0 {
-				acc = float64(correct) / float64(len(cases))
-			}
-			row.Sample = append(row.Sample, SamplePoint{Fraction: frac, Accuracy: acc})
+		for i, row := range rows {
+			cell.Rows[i].Sample = append(cell.Rows[i].Sample, SamplePoint{Fraction: frac, Accuracy: row.Contain})
 		}
-		cell.Rows = append(cell.Rows, row)
 	}
 	return cell, nil
 }
 
-// rowIndex maps a technique name back to its roster slot (for building a
-// fresh same-configured instance).
-func rowIndex(name string) int {
-	for i, n := range RosterNames() {
-		if n == name {
-			return i
+// Grade trains every technique on data and grades it on cases, timing the
+// two phases with clk. Every technique sees the same data and cases, so
+// differences reflect the methods, not collection noise; rows come back in
+// technique order.
+func Grade(ctx context.Context, clk clock.Clock, techs []baselines.Technique, data *eval.TrainingData, cases []eval.TestCase) ([]Row, error) {
+	rows := make([]Row, 0, len(techs))
+	for _, tech := range techs {
+		row, err := measure(ctx, clk, tech, data, cases)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", tech.Name(), err)
 		}
+		rows = append(rows, row)
 	}
-	return -1
+	return rows, nil
 }
 
 // measure trains one technique and grades it on every test case, timing the
-// two phases with the cell clock.
-func measure(ctx context.Context, clk clock.Clock, tech baselines.Technique, data *eval.TrainingData, cases []eval.TestCase, nServices int) (Row, error) {
+// two phases with clk. Localize runs exactly once per case: the ranking comes
+// from LocalizeRanked when the technique has one, otherwise it is the set
+// answer lifted, so a stateful technique's set and ranking never come from
+// different draws.
+func measure(ctx context.Context, clk clock.Clock, tech baselines.Technique, data *eval.TrainingData, cases []eval.TestCase) (Row, error) {
 	_, ranked := tech.(baselines.RankedTechnique)
 	row := Row{Technique: tech.Name(), Ranked: ranked}
+	nServices := len(data.Baseline.Services)
 
 	start := clk.Now()
 	if err := tech.Train(ctx, data.Baseline, data.Interventions); err != nil {
@@ -317,7 +313,7 @@ func measure(ctx context.Context, clk clock.Clock, tech baselines.Technique, dat
 		if err != nil {
 			return Row{}, fmt.Errorf("localize %s: %w", tc.Target, err)
 		}
-		order, err := baselines.RankedOrSets(ctx, tech, tc.Production)
+		order, err := baselines.RankedOrSets(ctx, tech, tc.Production, cands)
 		if err != nil {
 			return Row{}, fmt.Errorf("rank %s: %w", tc.Target, err)
 		}
@@ -345,13 +341,7 @@ func measure(ctx context.Context, clk clock.Clock, tech baselines.Technique, dat
 			contain++
 		}
 		candSum += float64(len(cands))
-		if len(cands) == 0 {
-			// Naming nobody excludes nobody: an empty set scores 0, the
-			// same rule eval applies to abstentions.
-			infSum += 0
-		} else {
-			infSum += eval.Informativeness(nServices, len(cands))
-		}
+		infSum += eval.Informativeness(nServices, len(cands))
 		row.Verdicts = append(row.Verdicts, verdict)
 	}
 	row.LocalizeWall = clk.Now().Sub(start)

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"causalfl/internal/baselines"
+	"causalfl/internal/clock"
 	"causalfl/internal/eval"
 	"causalfl/internal/metrics"
 )
@@ -270,5 +272,86 @@ func TestTruncateSnapshotKeepsFloor(t *testing.T) {
 	// The original is untouched.
 	if len(snap.Data["m"]["a"]) != 8 {
 		t.Error("truncation mutated its input")
+	}
+}
+
+func TestRunNonstationaryExtension(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation campaign")
+	}
+	result, err := RunNonstationaryExtension(ctx, eval.Options{Seed: 42, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(result.Rows) != 4 {
+		t.Fatalf("got %d rows, want the 2x2 design", len(result.Rows))
+	}
+	byKey := make(map[string]NonstationaryRow)
+	for _, row := range result.Rows {
+		byKey[row.Preset+"/"+row.Test] = row
+	}
+	guardedDerived := byKey[metrics.SetDerivedAll+"/guarded-ks"]
+	if guardedDerived.Accuracy < 0.85 {
+		t.Errorf("derived+guard should survive diurnal load, got %.2f", guardedDerived.Accuracy)
+	}
+	rawKSRaw := byKey[metrics.SetRawAll+"/raw-ks"]
+	if rawKSRaw.Accuracy > guardedDerived.Accuracy {
+		t.Errorf("raw metrics with unguarded KS (%.2f) should not beat derived+guard (%.2f) under diurnal load",
+			rawKSRaw.Accuracy, guardedDerived.Accuracy)
+	}
+	if !strings.Contains(result.String(), "diurnal") {
+		t.Error("rendering incomplete")
+	}
+}
+
+// rotating answers a different service on every Localize call, so a second
+// call for the same case would show up as a set that disagrees with the
+// ranking.
+type rotating struct {
+	services []string
+	calls    int
+}
+
+func (r *rotating) Name() string { return "rotating" }
+
+func (r *rotating) Train(_ context.Context, baseline *metrics.Snapshot, _ map[string]*metrics.Snapshot) error {
+	r.services = baseline.Services
+	return nil
+}
+
+func (r *rotating) Localize(context.Context, *metrics.Snapshot) ([]string, error) {
+	svc := r.services[r.calls%len(r.services)]
+	r.calls++
+	return []string{svc}, nil
+}
+
+// TestGradeLocalizesOncePerCase pins that a set-valued technique is asked
+// once per case and ranked on the set it returned.
+func TestGradeLocalizesOncePerCase(t *testing.T) {
+	services := []string{"a", "b", "c"}
+	snap := metrics.NewSnapshot([]string{"m"}, services)
+	data := &eval.TrainingData{Baseline: snap, Interventions: map[string]*metrics.Snapshot{}}
+	var cases []eval.TestCase
+	for _, svc := range services {
+		cases = append(cases, eval.TestCase{Target: svc, Production: snap})
+	}
+	tech := &rotating{}
+	rows, err := Grade(ctx, &clock.Fake{}, []baselines.Technique{tech}, data, cases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tech.calls != len(cases) {
+		t.Errorf("Localize called %d times for %d cases", tech.calls, len(cases))
+	}
+	row := rows[0]
+	for _, v := range row.Verdicts {
+		if len(v.Top) != 1 || v.Top[0] != v.Candidates[0] {
+			t.Errorf("case %s: ranking %v disagrees with set %v", v.Target, v.Top, v.Candidates)
+		}
+	}
+	// One call per case lines the rotation up with the targets, so every
+	// answer is right by set and by rank alike.
+	if row.Contain < 1 || row.Top1 < 1 {
+		t.Errorf("contain %.2f, top-1 %.2f; want 1.00 for both", row.Contain, row.Top1)
 	}
 }

@@ -42,18 +42,17 @@ func sortScored(ranked []Scored) {
 }
 
 // RankedOrSets adapts any Technique to a ranked verdict: a RankedTechnique
-// is asked directly, anything else has its candidate set lifted to a
-// uniform-score ranking (each candidate scored 1, everything else omitted).
-func RankedOrSets(ctx context.Context, tech Technique, production *metrics.Snapshot) ([]Scored, error) {
+// is asked directly, anything else has set — the candidate set its Localize
+// already returned for production — lifted to a uniform-score ranking (each
+// candidate scored 1, everything else omitted). Taking the set rather than
+// calling Localize again keeps a stateful technique's set and ranking from
+// coming from different draws.
+func RankedOrSets(ctx context.Context, tech Technique, production *metrics.Snapshot, set []string) ([]Scored, error) {
 	if rt, ok := tech.(RankedTechnique); ok {
 		return rt.LocalizeRanked(ctx, production)
 	}
-	cands, err := tech.Localize(ctx, production)
-	if err != nil {
-		return nil, err
-	}
-	ranked := make([]Scored, 0, len(cands))
-	for _, svc := range cands {
+	ranked := make([]Scored, 0, len(set))
+	for _, svc := range set {
 		ranked = append(ranked, Scored{Service: svc, Score: 1})
 	}
 	sortScored(ranked)

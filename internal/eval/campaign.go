@@ -1,7 +1,9 @@
 // Package eval orchestrates end-to-end fault-localization campaigns on the
 // benchmark applications and scores them with the paper's measures
 // (accuracy and informativeness, §VI-A). It also implements the experiment
-// harnesses that regenerate every table and figure of the evaluation.
+// harnesses that regenerate the evaluation's tables and figures; the ones
+// that compare techniques on shared data (Table II, nonstationary load)
+// live in internal/arena, which grades every such comparison.
 package eval
 
 import (
@@ -516,12 +518,4 @@ func Run(ctx context.Context, cfg Config) (*core.Model, *Report, error) {
 		return nil, nil, err
 	}
 	return model, report, nil
-}
-
-// TrainAndEvaluate is the common train-then-test pipeline used by the table
-// experiments.
-//
-// Deprecated: use Run, which is the same pipeline under the unified name.
-func TrainAndEvaluate(ctx context.Context, cfg Config) (*core.Model, *Report, error) {
-	return Run(ctx, cfg)
 }

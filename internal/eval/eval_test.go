@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"causalfl/internal/apps/causalbench"
-	"causalfl/internal/baselines"
 	"causalfl/internal/core"
 	"causalfl/internal/metrics"
 )
@@ -29,6 +28,7 @@ func TestInformativeness(t *testing.T) {
 		{9, 3, 0.75},
 		{1, 1, 1.0},  // degenerate universe
 		{9, 12, 0.0}, // clamped
+		{9, 0, 0},    // an empty answer excludes nobody
 	}
 	for _, tt := range tests {
 		if got := Informativeness(tt.n, tt.x); got != tt.want {
@@ -161,47 +161,6 @@ func TestEvaluateValidation(t *testing.T) {
 	cfg := quickCfg()
 	if _, err := Evaluate(context.Background(), cfg, nil); err == nil {
 		t.Fatal("Evaluate accepted nil model")
-	}
-}
-
-func TestCompareTechniquesQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test skipped in -short mode")
-	}
-	union := append(metrics.RawAll(), metrics.DerivedAll()...)
-	union = append(union, metrics.ErrLogRate)
-	cfg := Options{Seed: 11, Quick: true}.Apply(Config{
-		Build:          causalbench.Build,
-		Metrics:        union,
-		TestMultiplier: 4,
-	})
-	ours := &baselines.Paper{MetricNames: metrics.Names(metrics.DerivedAll())}
-	errlog := baselines.ErrLogOnly()
-	random := &baselines.RandomGuess{Seed: 3}
-	scores, err := CompareTechniques(context.Background(), cfg, []baselines.Technique{ours, errlog, random})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 3 {
-		t.Fatalf("got %d scores", len(scores))
-	}
-	if scores[0].Accuracy < scores[1].Accuracy {
-		t.Errorf("our method (%.2f) should beat the error-log-only baseline (%.2f) at 4x load",
-			scores[0].Accuracy, scores[1].Accuracy)
-	}
-	if scores[0].Accuracy < scores[2].Accuracy {
-		t.Errorf("our method (%.2f) should beat random guessing (%.2f)",
-			scores[0].Accuracy, scores[2].Accuracy)
-	}
-	rendered := RenderScores("test", scores)
-	if !strings.Contains(rendered, "causalfl/") || !strings.Contains(rendered, "random") {
-		t.Errorf("rendering missing technique names:\n%s", rendered)
-	}
-}
-
-func TestCompareTechniquesValidation(t *testing.T) {
-	if _, err := CompareTechniques(context.Background(), quickCfg(), nil); err == nil {
-		t.Fatal("accepted empty technique list")
 	}
 }
 

@@ -10,11 +10,9 @@ import (
 	"causalfl/internal/apps/causalbench"
 	"causalfl/internal/apps/patterns"
 	"causalfl/internal/apps/robotshop"
-	"causalfl/internal/baselines"
 	"causalfl/internal/clock"
 	"causalfl/internal/load"
 	"causalfl/internal/metrics"
-	"causalfl/internal/sim"
 	"causalfl/internal/stats"
 )
 
@@ -131,117 +129,6 @@ func RunTableI(ctx context.Context, o Options) (*TableIResult, error) {
 		}
 	}
 	return result, nil
-}
-
-// TableIIRow is one cell group of Table II: a metric-set preset evaluated on
-// one application.
-type TableIIRow struct {
-	App             string
-	Preset          string
-	Accuracy        float64
-	Informativeness float64
-}
-
-// TableIIResult reproduces Table II: the informativeness (and, additionally,
-// accuracy) of single-metric and all-metric sets, raw versus derived, with
-// training at 1x load and testing at 4x.
-type TableIIResult struct {
-	Rows []TableIIRow
-}
-
-// String renders the result grouped like the paper's Table II columns.
-func (r *TableIIResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table II: metric sets under 4x test load (trained at 1x)\n")
-	fmt.Fprintf(&b, "%-14s %-13s %-9s %s\n", "app", "metric set", "accuracy", "informativeness")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-14s %-13s %-9.2f %.2f\n", row.App, row.Preset, row.Accuracy, row.Informativeness)
-	}
-	return b.String()
-}
-
-// tableIIPresets are the Table II columns, in the paper's order.
-func tableIIPresets() []string {
-	return []string{
-		metrics.SetRawMsg, metrics.SetRawCPU, metrics.SetRawAll,
-		metrics.SetDerivedMsg, metrics.SetDerivedCPU, metrics.SetDerivedAll,
-	}
-}
-
-// RunTableII regenerates Table II. All presets share one collection pass per
-// application (the union metric set is collected once and projected), so the
-// comparison isolates the metric choice.
-func RunTableII(ctx context.Context, o Options) (*TableIIResult, error) {
-	union := append(metrics.RawAll(), metrics.DerivedAll()...)
-	result := &TableIIResult{}
-	for _, app := range benchmarkApps() {
-		cfg := o.Apply(Config{
-			Build:          app.Build,
-			Metrics:        union,
-			TestMultiplier: 4,
-		})
-		var techniques []baselines.Technique
-		for _, preset := range tableIIPresets() {
-			set, err := metrics.Preset(preset)
-			if err != nil {
-				return nil, err
-			}
-			techniques = append(techniques, &baselines.Paper{MetricNames: metrics.Names(set)})
-		}
-		scores, err := CompareTechniques(ctx, cfg, techniques)
-		if err != nil {
-			return nil, fmt.Errorf("eval: table II %s: %w", app.Name, err)
-		}
-		for i, preset := range tableIIPresets() {
-			result.Rows = append(result.Rows, TableIIRow{
-				App:             app.Name,
-				Preset:          preset,
-				Accuracy:        scores[i].Accuracy,
-				Informativeness: scores[i].MeanInformativeness,
-			})
-		}
-	}
-	return result, nil
-}
-
-// BaselineComparisonResult compares the paper's method against the related
-// approaches of §VII on both applications (trained at 1x, tested at 4x).
-type BaselineComparisonResult struct {
-	App    string
-	Scores []TechniqueScore
-}
-
-// String renders one comparison table per app.
-func (r *BaselineComparisonResult) String() string {
-	return RenderScores(fmt.Sprintf("Baseline comparison on %s (test load 4x)", r.App), r.Scores)
-}
-
-// RunBaselineComparison scores our method against the error-log-only [23],
-// single-causal-world [24], topology-driven [14], observational, and random
-// baselines.
-func RunBaselineComparison(ctx context.Context, o Options, build apps.Builder, appName string) (*BaselineComparisonResult, error) {
-	union := append(metrics.RawAll(), metrics.DerivedAll()...)
-	union = append(union, metrics.ErrLogRate)
-	cfg := o.Apply(Config{Build: build, Metrics: union, TestMultiplier: 4})
-	// The topology baseline receives the static call graph, as a service
-	// mesh would report it.
-	app, err := build(sim.NewEngine(0))
-	if err != nil {
-		return nil, fmt.Errorf("eval: baseline comparison %s: %w", appName, err)
-	}
-	techniques := []baselines.Technique{
-		&baselines.Paper{MetricNames: metrics.Names(metrics.DerivedAll())},
-		baselines.ErrLogOnly(),
-		&baselines.SingleWorld{},
-		&baselines.TopologyRCA{Edges: app.Edges},
-		&baselines.Observational{},
-		&baselines.RandomGuess{Seed: cfg.Seed},
-	}
-	scores, err := CompareTechniques(ctx, cfg, techniques)
-	if err != nil {
-		return nil, fmt.Errorf("eval: baseline comparison %s: %w", appName, err)
-	}
-	return &BaselineComparisonResult{App: appName, Scores: scores}, nil
 }
 
 // Fig1Result reproduces Fig. 1: the causal sets learned on the two

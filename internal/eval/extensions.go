@@ -8,13 +8,10 @@ import (
 	"time"
 
 	"causalfl/internal/apps/causalbench"
-	"causalfl/internal/baselines"
 	"causalfl/internal/chaos"
 	"causalfl/internal/core"
-	"causalfl/internal/load"
 	"causalfl/internal/metrics"
 	"causalfl/internal/parallel"
-	"causalfl/internal/stats"
 )
 
 // This file implements the extension experiments beyond the paper's
@@ -194,93 +191,6 @@ func RunMultiFaultExtension(ctx context.Context, o Options) (*MultiFaultResult, 
 		if hits >= 1 {
 			result.AtLeastOne++
 		}
-	}
-	return result, nil
-}
-
-// NonstationaryRow scores one metric-set / decision-rule combination under
-// nonstationary production load.
-type NonstationaryRow struct {
-	Preset          string
-	Test            string
-	Accuracy        float64
-	Informativeness float64
-}
-
-// NonstationaryResult reports the diurnal-load extension: the model is
-// trained under steady 1x load, but production traffic oscillates ±60%
-// around the same mean. Raw metrics see the oscillation as anomalies
-// everywhere; the derived metrics were built to be invariant to exactly
-// this (§III-C generalized from a level shift to a drifting level).
-type NonstationaryResult struct {
-	Amplitude float64
-	Rows      []NonstationaryRow
-}
-
-// String renders the result.
-func (r *NonstationaryResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Nonstationary-load extension (diurnal ±%.0f%% production load, steady training)\n", r.Amplitude*100)
-	fmt.Fprintf(&b, "%-13s %-12s %-9s %s\n", "metric set", "test", "accuracy", "informativeness")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-13s %-12s %-9.2f %.2f\n", row.Preset, row.Test, row.Accuracy, row.Informativeness)
-	}
-	return b.String()
-}
-
-// RunNonstationaryExtension trains steadily and tests under diurnal load.
-func RunNonstationaryExtension(ctx context.Context, o Options) (*NonstationaryResult, error) {
-	const amplitude = 0.6
-	union := append(metrics.RawAll(), metrics.DerivedAll()...)
-	trainCfg := o.Apply(Config{Build: causalbench.Build, Metrics: union})
-	testCfg := trainCfg
-	// One full oscillation per collection period; quick runs use a
-	// proportionally shorter period.
-	period := 5 * time.Minute
-	if o.Quick {
-		period = 75 * time.Second
-	}
-	testCfg.Diurnal = &load.DiurnalProfile{Period: period, Amplitude: amplitude}
-
-	// 2x2 design: {raw, derived} metric sets x {guarded, raw} KS tests.
-	// Mean-preserving oscillation is absorbed by the effect-size guard
-	// even on raw metrics; without the guard only the derived ratios,
-	// which are pointwise load-invariant, survive.
-	type cell struct {
-		preset string
-		test   stats.TwoSampleTest
-		label  string
-	}
-	cells := []cell{
-		{metrics.SetRawAll, stats.GuardedTest{Inner: stats.KSTest{}}, "guarded-ks"},
-		{metrics.SetRawAll, stats.KSTest{}, "raw-ks"},
-		{metrics.SetDerivedAll, stats.GuardedTest{Inner: stats.KSTest{}}, "guarded-ks"},
-		{metrics.SetDerivedAll, stats.KSTest{}, "raw-ks"},
-	}
-	var techniques []baselines.Technique
-	for _, c := range cells {
-		set, err := metrics.Preset(c.preset)
-		if err != nil {
-			return nil, err
-		}
-		techniques = append(techniques, &baselines.Paper{
-			MetricNames: metrics.Names(set),
-			Test:        c.test,
-			Label:       c.preset + "/" + c.label,
-		})
-	}
-	scores, err := CompareTechniquesSplit(ctx, trainCfg, testCfg, techniques)
-	if err != nil {
-		return nil, fmt.Errorf("eval: nonstationary extension: %w", err)
-	}
-	result := &NonstationaryResult{Amplitude: amplitude}
-	for i, c := range cells {
-		result.Rows = append(result.Rows, NonstationaryRow{
-			Preset:          c.preset,
-			Test:            c.label,
-			Accuracy:        scores[i].Accuracy,
-			Informativeness: scores[i].MeanInformativeness,
-		})
 	}
 	return result, nil
 }

@@ -127,35 +127,6 @@ func TestSweepSeeds(t *testing.T) {
 	}
 }
 
-func TestRunNonstationaryExtension(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test skipped in -short mode")
-	}
-	result, err := RunNonstationaryExtension(context.Background(), Options{Seed: 42, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(result.Rows) != 4 {
-		t.Fatalf("got %d rows, want the 2x2 design", len(result.Rows))
-	}
-	byKey := make(map[string]NonstationaryRow)
-	for _, row := range result.Rows {
-		byKey[row.Preset+"/"+row.Test] = row
-	}
-	guardedDerived := byKey[metrics.SetDerivedAll+"/guarded-ks"]
-	if guardedDerived.Accuracy < 0.85 {
-		t.Errorf("derived+guard should survive diurnal load, got %.2f", guardedDerived.Accuracy)
-	}
-	rawKSRaw := byKey[metrics.SetRawAll+"/raw-ks"]
-	if rawKSRaw.Accuracy > guardedDerived.Accuracy {
-		t.Errorf("raw metrics with unguarded KS (%.2f) should not beat derived+guard (%.2f) under diurnal load",
-			rawKSRaw.Accuracy, guardedDerived.Accuracy)
-	}
-	if !strings.Contains(result.String(), "diurnal") {
-		t.Error("rendering incomplete")
-	}
-}
-
 func TestRunScalabilityExtension(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test skipped in -short mode")

@@ -56,15 +56,17 @@ func newOutcome(target string, loc *core.Localization, nServices int) Outcome {
 		}
 		o.Coverage = sum / float64(n)
 	}
-	if o.Abstained {
-		o.Informativeness = 0
-	}
 	return o
 }
 
 // Informativeness computes (n-x)/(n-1) (paper §VI-A), clamped to [0, 1].
-// n <= 1 yields 1 by convention (there is nothing to exclude).
+// An empty answer (x = 0, an abstention) yields 0: naming nobody excludes
+// nobody. Otherwise n <= 1 yields 1 by convention (there is nothing to
+// exclude).
 func Informativeness(n, x int) float64 {
+	if x <= 0 {
+		return 0
+	}
 	if n <= 1 {
 		return 1
 	}

@@ -1,5 +1,5 @@
 // Package report renders the complete evaluation — every table, figure,
-// baseline comparison and extension experiment — as a single Markdown
+// extension experiment and the baseline arena — as a single Markdown
 // document. `causalfl report` is the one-command reproduction of
 // EXPERIMENTS.md's raw data.
 package report
@@ -32,7 +32,7 @@ func Sections() []Section {
 			return eval.RunTableI(ctx, o)
 		}},
 		{"Table II — metric sets under load drift", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
-			return eval.RunTableII(ctx, o)
+			return arena.RunTableII(ctx, o)
 		}},
 		{"Fig. 1 — metric-dependent causal worlds", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunFig1(ctx, o)
@@ -46,12 +46,6 @@ func Sections() []Section {
 		{"§III-B — logging discipline changes the causal world", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunLoggingDiscipline(ctx, o)
 		}},
-		{"Baseline comparison — CausalBench", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
-			return eval.RunBaselineComparison(ctx, o, causalbench.Build, causalbench.Name)
-		}},
-		{"Baseline comparison — Robot-shop", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
-			return eval.RunBaselineComparison(ctx, o, robotshop.Build, robotshop.Name)
-		}},
 		{"Extension — fault-type generalization", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunFaultTypeExtension(ctx, o)
 		}},
@@ -62,7 +56,7 @@ func Sections() []Section {
 			return eval.RunTraceComparison(ctx, o)
 		}},
 		{"Extension — nonstationary load", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
-			return eval.RunNonstationaryExtension(ctx, o)
+			return arena.RunNonstationaryExtension(ctx, o)
 		}},
 		{"Extension — noisy-neighbor interference", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunInterferenceExtension(ctx, o)

@@ -4,7 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 )
+
+// Shutdown stops a server that listens through hs: it wakes every parked
+// verdict long-poll, shuts hs down (listener closed, in-flight requests
+// finished, so no new ingest races the drain), then Drains. The long-polls
+// go first because hs.Shutdown waits for every active request, and a poll
+// without a client deadline would otherwise hold it, and the final
+// snapshots, forever. ctx bounds both waits.
+func (s *Server) Shutdown(ctx context.Context, hs *http.Server) error {
+	s.closingOnce.Do(func() { close(s.closing) })
+	if err := hs.Shutdown(ctx); err != nil {
+		return fmt.Errorf("serve: http shutdown: %w", err)
+	}
+	return s.Drain(ctx)
+}
 
 // Drain performs the graceful shutdown sequence: stop accepting ingest
 // server-wide, let every tenant's consumer flush its queued batches, write

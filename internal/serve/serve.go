@@ -41,6 +41,11 @@ type Server struct {
 	mu       sync.RWMutex
 	tenants  map[string]*tenant
 	draining bool
+
+	// closing is closed when Shutdown begins; it wakes every parked
+	// verdict long-poll, which otherwise waits on its client alone.
+	closing     chan struct{}
+	closingOnce sync.Once
 }
 
 // NewServer builds a server and restores every tenant found in the store —
@@ -51,7 +56,7 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.Store == nil {
 		return nil, fmt.Errorf("serve: nil store")
 	}
-	s := &Server{opts: opts, tenants: make(map[string]*tenant)}
+	s := &Server{opts: opts, tenants: make(map[string]*tenant), closing: make(chan struct{})}
 	names, err := opts.Store.List()
 	if err != nil {
 		return nil, err
@@ -393,15 +398,16 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 
 	vs, newest, truncated := t.verdictsSince(since, int(max))
 	if len(vs) == 0 && q.Get("wait") != "" {
-		// Long-poll: block until the next verdict or the client gives up.
-		// The wait is bounded by the request context only — this package
-		// never arms a timer (project walltime invariant); clients set
-		// their own deadline.
+		// Long-poll: block until the next verdict, shutdown, or the client
+		// gives up. Otherwise the wait is bounded by the request context
+		// only — this package never arms a timer (project walltime
+		// invariant); clients set their own deadline.
 		ch := t.waitCh()
 		select {
 		case <-ch:
 			vs, newest, truncated = t.verdictsSince(since, int(max))
 		case <-t.done:
+		case <-s.closing:
 		case <-r.Context().Done():
 		}
 	}

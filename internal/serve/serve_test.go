@@ -415,6 +415,70 @@ func TestLongPollVerdicts(t *testing.T) {
 	}
 }
 
+// TestShutdownReleasesParkedLongPoll shuts the server down while a verdict
+// long-poll is parked with no client deadline: Shutdown must return, the
+// poll must complete, and the drain must still write the final snapshot.
+func TestShutdownReleasesParkedLongPoll(t *testing.T) {
+	fx := buildFixture(t)
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan struct{}, 1)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("wait") != "" {
+			parked <- struct{}{}
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	c := &client{t: t, base: hs.URL, http: hs.Client()}
+
+	cfg := tenantCfg(1, 0)
+	cfg.SnapshotEvery = -1 // only the create and final snapshots land
+	if code := c.create("prod", cfg, fx.model); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	if code := c.ingest("prod", wireTicks(fx.ticks)); code != http.StatusAccepted {
+		t.Fatalf("ingest: status %d", code)
+	}
+	if err := srv.Quiesce(context.Background(), "prod"); err != nil {
+		t.Fatal(err)
+	}
+	// Poll past the newest verdict: no further verdict will ever come.
+	newest := c.verdicts("prod", 0).Next
+	polled := make(chan error, 1)
+	go func() {
+		resp, err := hs.Client().Get(fmt.Sprintf("%s/v1/tenants/prod/verdicts?since=%d&wait=1", hs.URL, newest))
+		if err == nil {
+			err = resp.Body.Close()
+		}
+		polled <- err
+	}()
+	<-parked
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx, hs.Config); err != nil {
+		srv.Kill() // wake the poll so cleanup can close the server
+		t.Fatalf("shutdown with a parked long-poll: %v", err)
+	}
+	if err := <-polled; err != nil {
+		t.Fatalf("parked long-poll: %v", err)
+	}
+	snap, err := store.Load("prod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Processed != 1 || snap.Seq != newest {
+		t.Errorf("final snapshot at processed %d, seq %d; want 1, %d", snap.Processed, snap.Seq, newest)
+	}
+}
+
 // TestRunDrained pins the graceful-finish helper's contract.
 func TestRunDrained(t *testing.T) {
 	t.Run("drains on done", func(t *testing.T) {
