@@ -273,15 +273,8 @@ func BenchmarkExtension_FaultTypes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range result.Rows {
-			if row.Fault == "latency" {
-				if row.TrainedOn == "latency" {
-					matchedLatency = row.Accuracy
-				} else {
-					crossLatency = row.Accuracy
-				}
-			}
-		}
+		crossLatency = result.Arm("http-service-unavailable", "latency").Report.Accuracy
+		matchedLatency = result.Arm("latency", "latency").Report.Accuracy
 	}
 	b.ReportMetric(crossLatency, "latency-acc-crosstrained")
 	b.ReportMetric(matchedLatency, "latency-acc-matched")
@@ -384,7 +377,8 @@ func BenchmarkExtension_ContaminatedBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		clean, dirty = result.CleanInformativeness, result.DirtyInformativeness
+		clean = result.Arm("clean baseline:").Report.MeanInformativeness
+		dirty = result.Arm("dirty  baseline:").Report.MeanInformativeness
 	}
 	b.ReportMetric(clean, "clean-informativeness")
 	b.ReportMetric(dirty, "dirty-informativeness")
@@ -397,14 +391,8 @@ func BenchmarkExtension_TrainingBudget(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range result.Rows {
-			switch row.TrainedTargets {
-			case 4:
-				accHalf = row.Accuracy
-			case 8:
-				accFull = row.Accuracy
-			}
-		}
+		accHalf = result.Arm("4").Report.Accuracy
+		accFull = result.Arm("8").Report.Accuracy
 	}
 	b.ReportMetric(accHalf, "accuracy-half-budget")
 	b.ReportMetric(accFull, "accuracy-full-budget")
@@ -417,7 +405,7 @@ func BenchmarkExtension_Scalability36(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc = result.Rows[len(result.Rows)-1].Accuracy
+		acc = result.Arms[len(result.Arms)-1].Report.Accuracy
 	}
 	b.ReportMetric(acc, "accuracy-at-36-services")
 }

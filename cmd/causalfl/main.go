@@ -36,13 +36,13 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 
 	"causalfl/internal/apps"
 	"causalfl/internal/apps/causalbench"
 	"causalfl/internal/apps/robotshop"
-	"causalfl/internal/arena"
 	"causalfl/internal/chaos"
 	"causalfl/internal/clock"
 	"causalfl/internal/core"
@@ -166,80 +166,62 @@ func (c *commonFlags) config() (eval.Config, error) {
 	return cfg, nil
 }
 
+// experimentFlags registers the flags shared by the experiment
+// subcommands and returns the options they fill.
+func experimentFlags(fs *flag.FlagSet) *eval.Options {
+	o := &eval.Options{}
+	fs.BoolVar(&o.Quick, "quick", false, "shortened collection windows")
+	fs.Int64Var(&o.Seed, "seed", 42, "random seed")
+	fs.IntVar(&o.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	return o
+}
+
+// printSections runs, in registry order, the report sections of group —
+// only the one called name when name is set — and prints each result
+// followed by sep.
+func printSections(ctx context.Context, o eval.Options, group, name, sep string) error {
+	var picked []report.Section
+	for _, s := range report.Sections() {
+		g, n, _ := strings.Cut(s.Key, "/")
+		if g == group && (name == "" || n == name) {
+			picked = append(picked, s)
+		}
+	}
+	if len(picked) == 0 {
+		return fmt.Errorf("no %s section named %q", group, name)
+	}
+	for _, s := range picked {
+		result, err := s.Run(ctx, o)
+		if err != nil {
+			return err
+		}
+		fmt.Print(result.String() + sep)
+	}
+	return nil
+}
+
 func cmdTables(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
 	table := fs.Int("table", 0, "table number (0 = both)")
-	quick := fs.Bool("quick", false, "shortened collection windows")
-	seed := fs.Int64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	o := experimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := eval.Options{Seed: *seed, Quick: *quick, Workers: *workers}
-	if *table == 0 || *table == 1 {
-		result, err := eval.RunTableI(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
+	name := ""
+	if *table != 0 {
+		name = strconv.Itoa(*table)
 	}
-	if *table == 0 || *table == 2 {
-		result, err := arena.RunTableII(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	if *table < 0 || *table > 2 {
-		return fmt.Errorf("unknown table %d", *table)
-	}
-	return nil
+	return printSections(ctx, *o, "tables", name, "\n")
 }
 
 func cmdFigures(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fig := fs.String("fig", "", "figure: 1, 2, causal-sets or logging (empty = all)")
-	quick := fs.Bool("quick", false, "shortened collection windows")
-	seed := fs.Int64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	o := experimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := eval.Options{Seed: *seed, Quick: *quick, Workers: *workers}
-	if *fig == "" || *fig == "1" {
-		result, err := eval.RunFig1(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	if *fig == "" || *fig == "2" {
-		result, err := eval.RunFig2(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	if *fig == "" || *fig == "causal-sets" {
-		result, err := eval.RunCausalSetsExample(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	if *fig == "" || *fig == "logging" {
-		result, err := eval.RunLoggingDiscipline(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	switch *fig {
-	case "", "1", "2", "causal-sets", "logging":
-		return nil
-	default:
-		return fmt.Errorf("unknown figure %q", *fig)
-	}
+	return printSections(ctx, *o, "figures", *fig, "\n")
 }
 
 // writeOutput runs write against a freshly created file at path, or stdout
@@ -415,49 +397,11 @@ func cmdTopology(args []string) error {
 
 func cmdExtensions(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("extensions", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "shortened collection windows")
-	seed := fs.Int64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	o := experimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := eval.Options{Seed: *seed, Quick: *quick, Workers: *workers}
-	faultTypes, err := eval.RunFaultTypeExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(faultTypes)
-	multi, err := eval.RunMultiFaultExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(multi)
-	tracesVs, err := eval.RunTraceComparison(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tracesVs)
-	nonstationary, err := arena.RunNonstationaryExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(nonstationary)
-	contamination, err := eval.RunContaminationExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(contamination)
-	interference, err := eval.RunInterferenceExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(interference)
-	budget, err := eval.RunBudgetExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(budget)
-	return nil
+	return printSections(ctx, *o, "extensions", "", "\n")
 }
 
 func cmdSweep(ctx context.Context, args []string) error {
@@ -502,18 +446,11 @@ func cmdSweep(ctx context.Context, args []string) error {
 
 func cmdScale(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("scale", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "shortened collection windows")
-	seed := fs.Int64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	o := experimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	result, err := eval.RunScalabilityExtension(ctx, eval.Options{Seed: *seed, Quick: *quick, Workers: *workers})
-	if err != nil {
-		return err
-	}
-	fmt.Print(result)
-	return nil
+	return printSections(ctx, *o, "scale", "", "")
 }
 
 func cmdCollect(ctx context.Context, args []string) error {
@@ -731,15 +668,13 @@ func cmdBench(ctx context.Context, args []string) error {
 
 func cmdReport(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "shortened collection windows")
-	seed := fs.Int64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	o := experimentFlags(fs)
 	out := fs.String("out", "", "write the Markdown report to this file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	return writeOutput(*out, func(w io.Writer) error {
-		return report.Generate(ctx, eval.Options{Seed: *seed, Quick: *quick, Workers: *workers}, w)
+		return report.Generate(ctx, *o, w)
 	})
 }
 

@@ -25,6 +25,7 @@ package arena
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"causalfl/internal/apps"
@@ -145,18 +146,18 @@ func RosterNames() []string {
 func Run(ctx context.Context, o Options) (*Report, error) {
 	o = o.withDefaults()
 	for _, f := range o.Losses {
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) {
 			return nil, fmt.Errorf("arena: loss fraction %v outside [0,1]", f)
 		}
 	}
 	for _, f := range o.Fractions {
-		if f <= 0 || f > 1 {
+		if !(f > 0 && f <= 1) {
 			return nil, fmt.Errorf("arena: training fraction %v outside (0,1]", f)
 		}
 	}
 	for _, m := range o.Multipliers {
-		if m <= 0 {
-			return nil, fmt.Errorf("arena: load multiplier %v not positive", m)
+		if !(m > 0 && m <= math.MaxFloat64) {
+			return nil, fmt.Errorf("arena: load multiplier %v not a positive finite number", m)
 		}
 	}
 

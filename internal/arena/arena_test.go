@@ -3,6 +3,7 @@ package arena
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -251,6 +252,10 @@ func TestRunRejectsBadGrid(t *testing.T) {
 		{"zero fraction", Options{Fractions: []float64{0}}},
 		{"fraction above one", Options{Fractions: []float64{2}}},
 		{"zero multiplier", Options{Multipliers: []float64{0}}},
+		{"NaN loss", Options{Losses: []float64{math.NaN()}}},
+		{"NaN fraction", Options{Fractions: []float64{math.NaN()}}},
+		{"NaN multiplier", Options{Multipliers: []float64{math.NaN()}}},
+		{"infinite multiplier", Options{Multipliers: []float64{math.Inf(1)}}},
 	} {
 		if _, err := Run(ctx, tc.o); err == nil {
 			t.Errorf("%s: accepted", tc.name)

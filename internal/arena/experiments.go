@@ -3,7 +3,6 @@ package arena
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"causalfl/internal/apps/causalbench"
@@ -53,13 +52,15 @@ type TableIIResult struct {
 
 // String renders the result grouped like the paper's Table II columns.
 func (r *TableIIResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table II: metric sets under 4x test load (trained at 1x)\n")
-	fmt.Fprintf(&b, "%-14s %-13s %-9s %s\n", "app", "metric set", "accuracy", "informativeness")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-14s %-13s %-9.2f %.2f\n", row.App, row.Preset, row.Accuracy, row.Informativeness)
+	t := eval.Table{
+		Title:  "Table II: metric sets under 4x test load (trained at 1x)",
+		Header: []string{"app", "metric set", "accuracy", "informativeness"},
+		Widths: []int{14, 13, 9},
 	}
-	return b.String()
+	for _, row := range r.Rows {
+		t.Rows = append(t.Rows, []string{row.App, row.Preset, fmt.Sprintf("%.2f", row.Accuracy), fmt.Sprintf("%.2f", row.Informativeness)})
+	}
+	return t.String()
 }
 
 // tableIIPresets are the Table II columns, in the paper's order.
@@ -127,13 +128,15 @@ type NonstationaryResult struct {
 
 // String renders the result.
 func (r *NonstationaryResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Nonstationary-load extension (diurnal ±%.0f%% production load, steady training)\n", r.Amplitude*100)
-	fmt.Fprintf(&b, "%-13s %-12s %-9s %s\n", "metric set", "test", "accuracy", "informativeness")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-13s %-12s %-9.2f %.2f\n", row.Preset, row.Test, row.Accuracy, row.Informativeness)
+	t := eval.Table{
+		Title:  fmt.Sprintf("Nonstationary-load extension (diurnal ±%.0f%% production load, steady training)", r.Amplitude*100),
+		Header: []string{"metric set", "test", "accuracy", "informativeness"},
+		Widths: []int{13, 12, 9},
 	}
-	return b.String()
+	for _, row := range r.Rows {
+		t.Rows = append(t.Rows, []string{row.Preset, row.Test, fmt.Sprintf("%.2f", row.Accuracy), fmt.Sprintf("%.2f", row.Informativeness)})
+	}
+	return t.String()
 }
 
 // RunNonstationaryExtension trains steadily and tests under diurnal load.

@@ -79,6 +79,10 @@ type Config struct {
 	// sampler, coverage-aware windows, snapshot repair). Nil reproduces
 	// the clean pipeline bit for bit.
 	Degraded *DegradedTelemetry
+	// dirtyBaseline, when set, names a service whose fault stays active
+	// while CollectTraining collects D_0 — the contaminated-baseline
+	// extension's hidden fault.
+	dirtyBaseline string
 }
 
 // DegradedTelemetry configures campaign-wide telemetry degradation: every
@@ -106,13 +110,13 @@ type DegradedTelemetry struct {
 
 // validate checks the degradation rates.
 func (d *DegradedTelemetry) validate() error {
-	if d.ScrapeLoss < 0 || d.ScrapeLoss > 1 {
+	if !(d.ScrapeLoss >= 0 && d.ScrapeLoss <= 1) {
 		return fmt.Errorf("eval: scrape-loss fraction %v outside [0,1]", d.ScrapeLoss)
 	}
-	if d.Corruption < 0 || d.Corruption > 1 {
+	if !(d.Corruption >= 0 && d.Corruption <= 1) {
 		return fmt.Errorf("eval: corruption fraction %v outside [0,1]", d.Corruption)
 	}
-	if d.MinWindowCoverage < 0 || d.MinWindowCoverage > 1 {
+	if !(d.MinWindowCoverage >= 0 && d.MinWindowCoverage <= 1) {
 		return fmt.Errorf("eval: min window coverage %v outside [0,1]", d.MinWindowCoverage)
 	}
 	return nil
@@ -335,7 +339,12 @@ func CollectTraining(ctx context.Context, cfg Config) (*TrainingData, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := s.collect(cfg.BaselineDuration)
+	var baseline *metrics.Snapshot
+	if cfg.dirtyBaseline != "" {
+		baseline, err = s.collectWithFault(cfg.dirtyBaseline, cfg.BaselineDuration)
+	} else {
+		baseline, err = s.collect(cfg.BaselineDuration)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("eval: train baseline: %w", err)
 	}

@@ -3,51 +3,11 @@ package eval
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"causalfl/internal/apps"
 	"causalfl/internal/metrics"
-	"causalfl/internal/parallel"
 	"causalfl/internal/telemetry"
 )
-
-// DegradationPoint is one row of the degradation sweep: the pipeline's
-// quality measures with a given fraction of scrapes lost.
-type DegradationPoint struct {
-	// Loss is the per-tick scrape-loss probability applied to every
-	// service during the test campaign.
-	Loss float64
-	// Accuracy and MeanInformativeness are the paper's measures at this
-	// loss level.
-	Accuracy            float64
-	MeanInformativeness float64
-	// Abstentions counts test cases where the localizer declined to
-	// answer; Campaigns is the total number of test cases.
-	Abstentions int
-	Campaigns   int
-	// MeanCoverage averages the per-localization metric coverage.
-	MeanCoverage float64
-}
-
-// DegradationSweepResult is the accuracy-vs-scrape-loss curve for one
-// application, quantifying the graceful-degradation claim next to the
-// Tables I–II reproduction.
-type DegradationSweepResult struct {
-	App    string
-	Points []DegradationPoint
-}
-
-// String renders the sweep as a fixed-width table.
-func (r *DegradationSweepResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Degradation sweep on %s: localization vs scrape loss (trained clean)\n", r.App)
-	fmt.Fprintf(&b, "%-7s %-9s %-6s %-9s %s\n", "loss", "accuracy", "info", "coverage", "abstained")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-7s %-9.2f %-6.2f %-9.2f %d/%d\n",
-			fmt.Sprintf("%.0f%%", p.Loss*100), p.Accuracy, p.MeanInformativeness, p.MeanCoverage, p.Abstentions, p.Campaigns)
-	}
-	return b.String()
-}
 
 // DefaultLossFractions is the sweep grid: clean through half the scrapes
 // gone.
@@ -55,78 +15,36 @@ func DefaultLossFractions() []float64 {
 	return []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5}
 }
 
-// RunDegradationSweep trains one clean model per application, then evaluates
-// it with the test campaign's telemetry degraded at each loss fraction: lossy
+// RunDegradationSweep is the accuracy-vs-scrape-loss curve for one
+// application, quantifying the graceful-degradation claim next to the
+// Tables I–II reproduction. It trains one clean model, then evaluates it
+// with the test campaign's telemetry degraded at each loss fraction: lossy
 // scrapes with retrying collection, coverage-aware windows, and snapshot
 // repair. Training stays clean so the sweep isolates what degraded
-// *production* telemetry costs. The 0-loss point runs through the degraded
+// *production* telemetry costs. The 0-loss arm runs through the degraded
 // pipeline too; it reproduces the clean evaluation exactly (same seeds, same
-// localizations), which anchors the curve.
-func RunDegradationSweep(ctx context.Context, o Options, build apps.Builder, appName string, fractions []float64) (*DegradationSweepResult, error) {
+// localizations), which anchors the curve. Arms are labelled "0%", "5%", ….
+func RunDegradationSweep(ctx context.Context, o Options, build apps.Builder, appName string, fractions []float64) (*ExperimentResult, error) {
 	if len(fractions) == 0 {
 		fractions = DefaultLossFractions()
 	}
+	trial := Trial{Train: o.Apply(Config{Build: build, Metrics: metrics.DerivedAll()})}
 	for _, f := range fractions {
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) {
 			return nil, fmt.Errorf("eval: degradation sweep: loss fraction %v outside [0,1]", f)
 		}
+		test := trial.Train
+		test.Degraded = &DegradedTelemetry{ScrapeLoss: f, Retry: telemetry.DefaultRetryPolicy()}
+		trial.Arms = append(trial.Arms, Arm{Labels: []string{fmt.Sprintf("%.0f%%", f*100)}, Test: test})
 	}
-	cfg := o.Apply(Config{Build: build, Metrics: metrics.DerivedAll()})
-	model, err := Train(ctx, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("eval: degradation sweep %s: train: %w", appName, err)
-	}
-	result := &DegradationSweepResult{App: appName}
-	// Loss fractions are independent evaluations of one read-only model:
-	// fan them out and assemble the curve in grid order. Each arm keeps its
-	// inner campaign serial so the pool is not oversubscribed.
-	points, err := parallel.Map(ctx, cfg.Workers, len(fractions), func(ctx context.Context, i int) (DegradationPoint, error) {
-		f := fractions[i]
-		c := cfg
-		c.Workers = 1
-		c.Degraded = &DegradedTelemetry{
-			ScrapeLoss: f,
-			Retry:      telemetry.DefaultRetryPolicy(),
-		}
-		report, err := Evaluate(ctx, c, model)
-		if err != nil {
-			return DegradationPoint{}, fmt.Errorf("eval: degradation sweep %s @%.0f%%: %w", appName, f*100, err)
-		}
-		point := DegradationPoint{
-			Loss:                f,
-			Accuracy:            report.Accuracy,
-			MeanInformativeness: report.MeanInformativeness,
-			Campaigns:           len(report.Outcomes),
-		}
-		coverage := 0.0
-		for _, out := range report.Outcomes {
-			if out.Abstained {
-				point.Abstentions++
-			}
-			coverage += out.Coverage
-		}
-		if point.Campaigns > 0 {
-			point.MeanCoverage = coverage / float64(point.Campaigns)
-		}
-		return point, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	result.Points = points
-	return result, nil
-}
-
-// RunDegradationSweeps runs the sweep on both benchmark applications with
-// the default loss grid.
-func RunDegradationSweeps(ctx context.Context, o Options) ([]*DegradationSweepResult, error) {
-	var out []*DegradationSweepResult
-	for _, app := range benchmarkApps() {
-		r, err := RunDegradationSweep(ctx, o, app.Build, app.Name, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return Experiment{
+		Title:  fmt.Sprintf("Degradation sweep on %s: localization vs scrape loss (trained clean)", appName),
+		Header: []string{"loss", "accuracy", "info", "coverage", "abstained"},
+		Widths: []int{7, 9, 6, 9},
+		Trials: []Trial{trial},
+		Cells: func(a ArmResult) []string {
+			r := a.Report
+			return append(accuracyCells(a), fmt.Sprintf("%.2f", r.MeanCoverage()), fmt.Sprintf("%d/%d", r.Abstentions(), len(r.Outcomes)))
+		},
+	}.Run(ctx, o)
 }

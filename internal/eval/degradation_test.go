@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -17,6 +18,9 @@ func TestDegradedTelemetryValidation(t *testing.T) {
 		{Corruption: -1},
 		{Corruption: 2},
 		{MinWindowCoverage: 1.5},
+		{ScrapeLoss: math.NaN()},
+		{Corruption: math.NaN()},
+		{MinWindowCoverage: math.NaN()},
 	}
 	for i, d := range bad {
 		cfg := Config{Build: causalbench.Build, Degraded: &d}
@@ -36,6 +40,9 @@ func TestRunDegradationSweepRejectsBadFractions(t *testing.T) {
 	}
 	if _, err := RunDegradationSweep(context.Background(), Options{Quick: true}, causalbench.Build, causalbench.Name, []float64{1.5}); err == nil {
 		t.Error("accepted loss fraction above 1")
+	}
+	if _, err := RunDegradationSweep(context.Background(), Options{Quick: true}, causalbench.Build, causalbench.Name, []float64{math.NaN()}); err == nil {
+		t.Error("accepted NaN loss fraction")
 	}
 }
 
@@ -116,27 +123,27 @@ func TestRunDegradationSweepQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(result.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(result.Points))
+	if len(result.Arms) != 2 {
+		t.Fatalf("got %d points, want 2", len(result.Arms))
 	}
-	p0, p30 := result.Points[0], result.Points[1]
-	if p0.Loss != 0 || p30.Loss != 0.3 {
-		t.Fatalf("points out of order: %+v", result.Points)
+	if result.Arms[0].Labels[0] != "0%" || result.Arms[1].Labels[0] != "30%" {
+		t.Fatalf("points out of order:\n%s", result)
 	}
+	p0, p30 := result.Arms[0].Report, result.Arms[1].Report
 	// The clean anchor point: full coverage, no abstentions, and the same
 	// accuracy the plain campaign achieves on this app.
-	if p0.MeanCoverage != 1 || p0.Abstentions != 0 {
-		t.Fatalf("0%% point not clean: %+v", p0)
+	if p0.MeanCoverage() != 1 || p0.Abstentions() != 0 {
+		t.Fatalf("0%% point not clean: coverage %v, %d abstentions", p0.MeanCoverage(), p0.Abstentions())
 	}
 	if p0.Accuracy < 0.75 {
 		t.Fatalf("0%% point accuracy %.2f too low (degraded pipeline broke the clean path?)", p0.Accuracy)
 	}
 	// At 30% loss the campaign still runs to completion on every target.
-	if p30.Campaigns != p0.Campaigns || p30.Campaigns == 0 {
-		t.Fatalf("lossy point dropped campaigns: %+v vs %+v", p30, p0)
+	if len(p30.Outcomes) != len(p0.Outcomes) || len(p30.Outcomes) == 0 {
+		t.Fatalf("lossy point dropped campaigns: %d vs %d", len(p30.Outcomes), len(p0.Outcomes))
 	}
-	if p30.MeanCoverage > p0.MeanCoverage {
-		t.Errorf("coverage rose under loss: %+v", p30)
+	if p30.MeanCoverage() > p0.MeanCoverage() {
+		t.Errorf("coverage rose under loss: %v", p30.MeanCoverage())
 	}
 	out := result.String()
 	for _, want := range []string{"causalbench", "0%", "30%", "accuracy"} {

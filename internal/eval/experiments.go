@@ -45,13 +45,19 @@ func (o Options) WallClock() clock.Clock {
 	return clock.Wall
 }
 
+// EffectiveSeed is the seed the experiments run with: Seed, or 42 when it
+// is zero.
+func (o Options) EffectiveSeed() int64 {
+	if o.Seed == 0 {
+		return 42
+	}
+	return o.Seed
+}
+
 // Apply merges the options into a campaign config, returning the config the
 // experiment harnesses would run with.
 func (o Options) Apply(cfg Config) Config {
-	cfg.Seed = o.Seed
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
+	cfg.Seed = o.EffectiveSeed()
 	cfg.Workers = o.Workers
 	if o.Quick {
 		cfg.BaselineDuration = 150 * time.Second
@@ -77,58 +83,26 @@ func benchmarkApps() []struct {
 	}
 }
 
-// TableIRow is one row of Table I.
-type TableIRow struct {
-	App             string
-	Load            float64
-	Accuracy        float64
-	Informativeness float64
-}
-
-// TableIResult reproduces Table I: accuracy and informativeness on
+// RunTableI regenerates Table I: accuracy and informativeness on
 // CausalBench and Robot-shop with the model trained at 1x load and tested at
 // 1x and 4x, using the derived metric set.
-type TableIResult struct {
-	Rows []TableIRow
-}
-
-// String renders the result in the paper's row order.
-func (r *TableIResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table I: fault localization accuracy and informativeness\n")
-	fmt.Fprintf(&b, "%-14s %-6s %-9s %s\n", "app", "load", "accuracy", "informativeness")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-14s %-6s %-9.2f %.2f\n",
-			row.App, fmt.Sprintf("%gx", row.Load), row.Accuracy, row.Informativeness)
+func RunTableI(ctx context.Context, o Options) (*ExperimentResult, error) {
+	e := Experiment{
+		Title:  "Table I: fault localization accuracy and informativeness",
+		Header: []string{"app", "load", "accuracy", "informativeness"},
+		Widths: []int{14, 6, 9},
+		Cells:  accuracyCells,
 	}
-	return b.String()
-}
-
-// RunTableI regenerates Table I.
-func RunTableI(ctx context.Context, o Options) (*TableIResult, error) {
-	result := &TableIResult{}
 	for _, app := range benchmarkApps() {
-		cfg := o.Apply(Config{Build: app.Build, Metrics: metrics.DerivedAll()})
-		model, err := Train(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("eval: table I %s: %w", app.Name, err)
-		}
+		trial := Trial{Train: o.Apply(Config{Build: app.Build, Metrics: metrics.DerivedAll()})}
 		for _, mult := range []float64{1, 4} {
-			c := cfg
-			c.TestMultiplier = mult
-			report, err := Evaluate(ctx, c, model)
-			if err != nil {
-				return nil, fmt.Errorf("eval: table I %s @%gx: %w", app.Name, mult, err)
-			}
-			result.Rows = append(result.Rows, TableIRow{
-				App:             app.Name,
-				Load:            mult,
-				Accuracy:        report.Accuracy,
-				Informativeness: report.MeanInformativeness,
-			})
+			test := trial.Train
+			test.TestMultiplier = mult
+			trial.Arms = append(trial.Arms, Arm{Labels: []string{app.Name, fmt.Sprintf("%gx", mult)}, Test: test})
 		}
+		e.Trials = append(e.Trials, trial)
 	}
-	return result, nil
+	return e.Run(ctx, o)
 }
 
 // Fig1Result reproduces Fig. 1: the causal sets learned on the two

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 	"time"
 
 	"causalfl/internal/apps/causalbench"
@@ -20,91 +20,35 @@ import (
 // concurrent-fault ranking (the paper assumes one fault at a time), and
 // multi-seed robustness sweeps.
 
-// FaultTypeRow is one fault type's score in the generalization experiment.
-type FaultTypeRow struct {
-	TrainedOn       string
-	Fault           string
-	Accuracy        float64
-	Informativeness float64
-}
-
-// FaultTypeResult reports how a model trained exclusively on
+// RunFaultTypeExtension reports how a model trained exclusively on
 // http-service-unavailable injections localizes *other* fault types at
-// detection time.
-type FaultTypeResult struct {
-	Rows []FaultTypeRow
-}
-
-// String renders the result.
-func (r *FaultTypeResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fault-type generalization\n")
-	fmt.Fprintf(&b, "%-26s %-26s %-9s %s\n", "trained on", "production fault", "accuracy", "informativeness")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-26s %-26s %-9.2f %.2f\n", row.TrainedOn, row.Fault, row.Accuracy, row.Informativeness)
-	}
-	return b.String()
-}
-
-// RunFaultTypeExtension trains on the paper's fault and evaluates against
-// error-rate and latency faults on CausalBench. The metric set is extended
-// with busy⊘rx (worker-slot occupancy per request): latency faults burn no
-// extra CPU and drop no requests, so the paper's metric set alone cannot see
-// them, but they hold worker slots longer — upstream callers included,
-// because synchronous calls block.
-func RunFaultTypeExtension(ctx context.Context, o Options) (*FaultTypeResult, error) {
-	cfg := o.Apply(Config{
-		Build:   causalbench.Build,
-		Metrics: metrics.ExtendedDerived(),
-	})
-	model, err := Train(ctx, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("eval: fault-type extension: %w", err)
-	}
+// detection time: error-rate and latency faults on CausalBench. The metric
+// set is extended with busy⊘rx (worker-slot occupancy per request): latency
+// faults burn no extra CPU and drop no requests, so the paper's metric set
+// alone cannot see them, but they hold worker slots longer — upstream
+// callers included, because synchronous calls block.
+func RunFaultTypeExtension(ctx context.Context, o Options) (*ExperimentResult, error) {
+	cross := Trial{Train: o.Apply(Config{Build: causalbench.Build, Metrics: metrics.ExtendedDerived()})}
 	latency := chaos.Fault{Type: chaos.Latency, Delay: 150 * time.Millisecond}
-	faults := []chaos.Fault{
-		chaos.Unavailable(),
-		{Type: chaos.ErrorRate, Rate: 0.5},
-		latency,
+	for _, fault := range []chaos.Fault{chaos.Unavailable(), {Type: chaos.ErrorRate, Rate: 0.5}, latency} {
+		test := cross.Train
+		test.Fault = fault
+		cross.Arms = append(cross.Arms, Arm{Labels: []string{chaos.ServiceUnavailable.String(), fault.Type.String()}, Test: test})
 	}
-	result := &FaultTypeResult{}
-	for _, fault := range faults {
-		c := cfg
-		c.Fault = fault
-		report, err := Evaluate(ctx, c, model)
-		if err != nil {
-			return nil, fmt.Errorf("eval: fault-type extension %s: %w", fault.Type, err)
-		}
-		result.Rows = append(result.Rows, FaultTypeRow{
-			TrainedOn:       chaos.ServiceUnavailable.String(),
-			Fault:           fault.Type.String(),
-			Accuracy:        report.Accuracy,
-			Informativeness: report.MeanInformativeness,
-		})
-	}
-
 	// Matched training: latency faults propagate along a different world
 	// (blocking spreads upstream through held worker slots), so a model
 	// trained on the *same* fault type recovers what the cross-type model
 	// loses — quantifying the paper's §III observation that propagation
 	// depends on the fault type.
-	matched := cfg
+	matched := cross.Train
 	matched.Fault = latency
-	matchedModel, err := Train(ctx, matched)
-	if err != nil {
-		return nil, fmt.Errorf("eval: fault-type extension matched training: %w", err)
-	}
-	report, err := Evaluate(ctx, matched, matchedModel)
-	if err != nil {
-		return nil, fmt.Errorf("eval: fault-type extension matched eval: %w", err)
-	}
-	result.Rows = append(result.Rows, FaultTypeRow{
-		TrainedOn:       latency.Type.String(),
-		Fault:           latency.Type.String(),
-		Accuracy:        report.Accuracy,
-		Informativeness: report.MeanInformativeness,
-	})
-	return result, nil
+	return Experiment{
+		Title:  "Fault-type generalization",
+		Header: []string{"trained on", "production fault", "accuracy", "informativeness"},
+		Widths: []int{26, 26, 9},
+		Trials: []Trial{cross, {Train: matched, Arms: []Arm{{Labels: []string{latency.Type.String(), latency.Type.String()}, Test: matched}}}},
+		Cells:  accuracyCells,
+	}.Run(ctx, o)
 }
 
 // MultiFaultResult reports the concurrent-fault extension: with two faults
@@ -150,23 +94,9 @@ func RunMultiFaultExtension(ctx context.Context, o Options) (*MultiFaultResult, 
 	pairs := [][2]string{
 		{"B", "I"}, {"C", "H"}, {"E", "I"}, {"G", "C"}, {"D", "B"}, {"H", "E"},
 	}
-	cfg2, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
 	result := &MultiFaultResult{}
 	for i, pair := range pairs {
-		s, err := newSession(cfg2, cfg2.TestMultiplier, cfg2.Seed+5000+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		for _, target := range pair {
-			if err := s.injector.Inject(target, cfg2.Fault); err != nil {
-				return nil, fmt.Errorf("eval: multi-fault inject %s: %w", target, err)
-			}
-		}
-		s.settle()
-		production, err := s.collect(cfg2.FaultDuration)
+		production, err := CollectProductionMulti(ctx, cfg, 1, pair[:], chaos.Unavailable(), cfg.Seed+5000+int64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -195,159 +125,55 @@ func RunMultiFaultExtension(ctx context.Context, o Options) (*MultiFaultResult, 
 	return result, nil
 }
 
-// ContaminationResult reports the contaminated-baseline robustness probe:
+// RunContaminationExtension is the contaminated-baseline robustness probe:
 // Algorithm 1 assumes the T_0 period is fault free, but production baselines
-// are collected from systems that may already be degraded. This experiment
-// deliberately leaves a fault active in one service while D_0 is collected,
-// then scores the resulting model normally.
-type ContaminationResult struct {
-	// Contaminant carried the hidden fault during baseline collection.
-	Contaminant string
-	// CleanAccuracy / CleanInformativeness come from an uncontaminated
-	// control run with the same seeds.
-	CleanAccuracy        float64
-	CleanInformativeness float64
-	// DirtyAccuracy / DirtyInformativeness come from the contaminated run.
-	DirtyAccuracy        float64
-	DirtyInformativeness float64
-}
-
-// String renders the comparison.
-func (r *ContaminationResult) String() string {
-	return fmt.Sprintf("Contaminated-baseline extension (hidden fault in %s during D_0 collection)\n"+
-		"clean baseline: accuracy=%.2f informativeness=%.2f\n"+
-		"dirty  baseline: accuracy=%.2f informativeness=%.2f\n",
-		r.Contaminant,
-		r.CleanAccuracy, r.CleanInformativeness,
-		r.DirtyAccuracy, r.DirtyInformativeness)
-}
-
-// RunContaminationExtension measures how a hidden fault during baseline
-// collection degrades the model.
-func RunContaminationExtension(ctx context.Context, o Options) (*ContaminationResult, error) {
+// are collected from systems that may already be degraded. It trains one
+// model with a fault left active in one service while D_0 is collected, and
+// scores it next to an uncontaminated control run with the same seeds.
+func RunContaminationExtension(ctx context.Context, o Options) (*ExperimentResult, error) {
 	const contaminant = "C"
-	cfg := o.Apply(Config{Build: causalbench.Build, Metrics: metrics.DerivedAll()})
-
-	clean, err := Train(ctx, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("eval: contamination control: %w", err)
-	}
-	cleanReport, err := Evaluate(ctx, cfg, clean)
-	if err != nil {
-		return nil, fmt.Errorf("eval: contamination control eval: %w", err)
-	}
-
-	dirty, err := trainWithContaminatedBaseline(ctx, cfg, contaminant)
-	if err != nil {
-		return nil, err
-	}
-	dirtyReport, err := Evaluate(ctx, cfg, dirty)
-	if err != nil {
-		return nil, fmt.Errorf("eval: contamination eval: %w", err)
-	}
-
-	return &ContaminationResult{
-		Contaminant:          contaminant,
-		CleanAccuracy:        cleanReport.Accuracy,
-		CleanInformativeness: cleanReport.MeanInformativeness,
-		DirtyAccuracy:        dirtyReport.Accuracy,
-		DirtyInformativeness: dirtyReport.MeanInformativeness,
-	}, nil
+	clean := o.Apply(Config{Build: causalbench.Build, Metrics: metrics.DerivedAll()})
+	dirty := clean
+	dirty.dirtyBaseline = contaminant
+	return Experiment{
+		Title: fmt.Sprintf("Contaminated-baseline extension (hidden fault in %s during D_0 collection)", contaminant),
+		Trials: []Trial{
+			{Train: clean, Arms: []Arm{{Labels: []string{"clean baseline:"}, Test: clean}}},
+			{Train: dirty, Arms: []Arm{{Labels: []string{"dirty  baseline:"}, Test: clean}}},
+		},
+		Cells: func(a ArmResult) []string {
+			return []string{
+				fmt.Sprintf("accuracy=%.2f", a.Report.Accuracy),
+				fmt.Sprintf("informativeness=%.2f", a.Report.MeanInformativeness),
+			}
+		},
+	}.Run(ctx, o)
 }
 
-// trainWithContaminatedBaseline runs the Algorithm 1 campaign with a hidden
-// fault active throughout the baseline period only.
-func trainWithContaminatedBaseline(ctx context.Context, cfg Config, contaminant string) (*core.Model, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	s, err := newSession(cfg, cfg.TrainMultiplier, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	baseline, err := s.collectWithFault(contaminant, cfg.BaselineDuration)
-	if err != nil {
-		return nil, fmt.Errorf("eval: contaminated baseline: %w", err)
-	}
-	interventions := make(map[string]*metrics.Snapshot, len(s.targets))
-	for _, target := range s.targets {
-		snap, err := s.collectWithFault(target, cfg.FaultDuration)
-		if err != nil {
-			return nil, fmt.Errorf("eval: contaminated train fault %s: %w", target, err)
-		}
-		interventions[target] = snap
-	}
-	learner, err := core.NewLearner(core.WithAlpha(cfg.Alpha))
-	if err != nil {
-		return nil, err
-	}
-	model, err := learner.Learn(ctx, baseline, interventions)
-	if err != nil {
-		return nil, fmt.Errorf("eval: contaminated learn: %w", err)
-	}
-	return model, nil
-}
-
-// BudgetRow is one training-budget level.
-type BudgetRow struct {
-	TrainedTargets  int
-	Accuracy        float64
-	Informativeness float64
-}
-
-// BudgetResult reports the intervention-budget curve: Algorithm 1's cost is
+// RunBudgetExtension sweeps the intervention budget: Algorithm 1's cost is
 // one controlled fault window per service, and the experimental-design
 // literature the paper cites ([30]-[32]) is about spending fewer
-// interventions. This experiment trains on growing prefixes of CausalBench's
-// fault targets and evaluates against faults in *all* services: faults in
+// interventions. It trains on growing prefixes of CausalBench's fault
+// targets and evaluates against faults in *all* services: faults in
 // untrained services cannot be named (their worlds were never learned), so
 // accuracy tracks the budget roughly linearly — the price of skipping
 // injections, made explicit.
-type BudgetResult struct {
-	TotalTargets int
-	Rows         []BudgetRow
-}
-
-// String renders the curve.
-func (r *BudgetResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Training-budget curve (CausalBench, %d injectable services)\n", r.TotalTargets)
-	fmt.Fprintf(&b, "%-16s %-9s %s\n", "trained targets", "accuracy", "informativeness")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-16d %-9.2f %.2f\n", row.TrainedTargets, row.Accuracy, row.Informativeness)
-	}
-	return b.String()
-}
-
-// RunBudgetExtension sweeps the training budget.
-func RunBudgetExtension(ctx context.Context, o Options) (*BudgetResult, error) {
+func RunBudgetExtension(ctx context.Context, o Options) (*ExperimentResult, error) {
 	allTargets := []string{"A", "B", "C", "D", "E", "G", "H", "I"}
-	result := &BudgetResult{TotalTargets: len(allTargets)}
-	for _, k := range []int{2, 4, 6, 8} {
-		cfg := o.Apply(Config{
-			Build:   causalbench.Build,
-			Metrics: metrics.DerivedAll(),
-			Targets: allTargets[:k],
-		})
-		model, err := Train(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("eval: budget k=%d train: %w", k, err)
-		}
-		// Test faults cover every injectable service, trained or not.
-		evalCfg := cfg
-		evalCfg.Targets = allTargets
-		report, err := Evaluate(ctx, evalCfg, model)
-		if err != nil {
-			return nil, fmt.Errorf("eval: budget k=%d eval: %w", k, err)
-		}
-		result.Rows = append(result.Rows, BudgetRow{
-			TrainedTargets:  k,
-			Accuracy:        report.Accuracy,
-			Informativeness: report.MeanInformativeness,
-		})
+	e := Experiment{
+		Title:  fmt.Sprintf("Training-budget curve (CausalBench, %d injectable services)", len(allTargets)),
+		Header: []string{"trained targets", "accuracy", "informativeness"},
+		Widths: []int{16, 9},
+		Cells:  accuracyCells,
 	}
-	return result, nil
+	for _, k := range []int{2, 4, 6, 8} {
+		train := o.Apply(Config{Build: causalbench.Build, Metrics: metrics.DerivedAll(), Targets: allTargets[:k]})
+		// Test faults cover every injectable service, trained or not.
+		test := train
+		test.Targets = allTargets
+		e.Trials = append(e.Trials, Trial{Train: train, Arms: []Arm{{Labels: []string{strconv.Itoa(k)}, Test: test}}})
+	}
+	return e.Run(ctx, o)
 }
 
 // SweepResult aggregates a multi-seed robustness sweep.

@@ -18,23 +18,19 @@ func TestRunFaultTypeExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(result.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(result.Rows))
+	if len(result.Arms) != 4 {
+		t.Fatalf("got %d rows, want 4", len(result.Arms))
 	}
-	byKey := make(map[string]FaultTypeRow, len(result.Rows))
-	for _, row := range result.Rows {
-		byKey[row.TrainedOn+"->"+row.Fault] = row
-	}
-	control := byKey["http-service-unavailable->http-service-unavailable"]
+	control := result.Arm("http-service-unavailable", "http-service-unavailable").Report
 	if control.Accuracy < 0.85 {
 		t.Errorf("control accuracy %.2f too low", control.Accuracy)
 	}
-	errRate := byKey["http-service-unavailable->error-rate"]
+	errRate := result.Arm("http-service-unavailable", "error-rate").Report
 	if errRate.Accuracy < 0.75 {
 		t.Errorf("error-rate faults should transfer from unavailable training, got %.2f", errRate.Accuracy)
 	}
-	crossLatency := byKey["http-service-unavailable->latency"]
-	matchedLatency := byKey["latency->latency"]
+	crossLatency := result.Arm("http-service-unavailable", "latency").Report
+	matchedLatency := result.Arm("latency", "latency").Report
 	// The experiment's finding: latency propagates along a different
 	// world, so matched training must beat cross-type transfer clearly.
 	if matchedLatency.Accuracy < crossLatency.Accuracy+0.25 {
@@ -135,20 +131,21 @@ func TestRunScalabilityExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(result.Rows) != len(ScalabilitySizes) {
-		t.Fatalf("got %d rows, want %d", len(result.Rows), len(ScalabilitySizes))
+	if len(result.Arms) != len(ScalabilitySizes) {
+		t.Fatalf("got %d rows, want %d", len(result.Arms), len(ScalabilitySizes))
 	}
-	for _, row := range result.Rows {
-		if row.Accuracy < 0.8 {
-			t.Errorf("accuracy %.2f at %d services; the method should scale", row.Accuracy, row.Services)
+	for i, arm := range result.Arms {
+		services, targets := ScalabilitySizes[i], len(arm.Model.Targets)
+		if arm.Report.Accuracy < 0.8 {
+			t.Errorf("accuracy %.2f at %d services; the method should scale", arm.Report.Accuracy, services)
 		}
-		if row.Targets < row.Services/2 {
-			t.Errorf("only %d of %d services injectable", row.Targets, row.Services)
+		if targets < services/2 {
+			t.Errorf("only %d of %d services injectable", targets, services)
 		}
 	}
 	// Cost grows with size (linearly in targets); the largest sweep must
 	// cost more than the smallest.
-	first, last := result.Rows[0], result.Rows[len(result.Rows)-1]
+	first, last := result.Arms[0], result.Arms[len(result.Arms)-1]
 	if last.TrainWall <= first.TrainWall {
 		t.Errorf("training cost did not grow with size: %v -> %v", first.TrainWall, last.TrainWall)
 	}
@@ -165,20 +162,21 @@ func TestRunContaminationExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if result.Contaminant == "" {
+	if !strings.Contains(result.Title, "hidden fault in C ") {
 		t.Fatal("no contaminant recorded")
 	}
-	if result.CleanAccuracy < 0.85 {
-		t.Errorf("control run accuracy %.2f too low", result.CleanAccuracy)
+	clean, dirty := result.Arm("clean baseline:").Report, result.Arm("dirty  baseline:").Report
+	if clean.Accuracy < 0.85 {
+		t.Errorf("control run accuracy %.2f too low", clean.Accuracy)
 	}
 	// The contaminated model must not silently look as good as the clean
 	// one on both measures — the experiment exists to show the cost of a
 	// dirty baseline.
-	if result.DirtyAccuracy >= result.CleanAccuracy &&
-		result.DirtyInformativeness >= result.CleanInformativeness {
+	if dirty.Accuracy >= clean.Accuracy &&
+		dirty.MeanInformativeness >= clean.MeanInformativeness {
 		t.Errorf("contamination cost nothing: clean %.2f/%.2f vs dirty %.2f/%.2f",
-			result.CleanAccuracy, result.CleanInformativeness,
-			result.DirtyAccuracy, result.DirtyInformativeness)
+			clean.Accuracy, clean.MeanInformativeness,
+			dirty.Accuracy, dirty.MeanInformativeness)
 	}
 	if !strings.Contains(result.String(), "hidden fault") {
 		t.Error("rendering incomplete")
@@ -229,25 +227,27 @@ func TestRunBudgetExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(result.Rows) != 4 {
-		t.Fatalf("got %d rows", len(result.Rows))
+	if len(result.Arms) != 4 {
+		t.Fatalf("got %d rows", len(result.Arms))
 	}
-	// Accuracy must be (weakly) monotone in the budget and track k/n.
+	// Accuracy must be (weakly) monotone in the budget and track k/n. Every
+	// arm tests all injectable services, one case each.
 	prev := -1.0
-	for _, row := range result.Rows {
-		if row.Accuracy < prev-0.13 {
-			t.Errorf("accuracy regressed with larger budget: %.2f after %.2f", row.Accuracy, prev)
+	for _, arm := range result.Arms {
+		trained, total, accuracy := len(arm.Model.Targets), len(arm.Report.Outcomes), arm.Report.Accuracy
+		if accuracy < prev-0.13 {
+			t.Errorf("accuracy regressed with larger budget: %.2f after %.2f", accuracy, prev)
 		}
-		ceiling := float64(row.TrainedTargets) / float64(result.TotalTargets)
-		if row.Accuracy > ceiling+1e-9 {
+		ceiling := float64(trained) / float64(total)
+		if accuracy > ceiling+1e-9 {
 			t.Errorf("k=%d accuracy %.2f exceeds the %.2f budget ceiling (untrained faults cannot be named)",
-				row.TrainedTargets, row.Accuracy, ceiling)
+				trained, accuracy, ceiling)
 		}
-		prev = row.Accuracy
+		prev = accuracy
 	}
-	full := result.Rows[len(result.Rows)-1]
-	if full.TrainedTargets != result.TotalTargets || full.Accuracy < 0.85 {
-		t.Errorf("full budget row: %+v", full)
+	full := result.Arms[len(result.Arms)-1]
+	if len(full.Model.Targets) != len(full.Report.Outcomes) || full.Report.Accuracy < 0.85 {
+		t.Errorf("full budget row: %s", full.Report)
 	}
 }
 

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"causalfl/internal/apps"
@@ -65,9 +66,11 @@ type InterferenceResult struct {
 
 // String renders the verdicts.
 func (r *InterferenceResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Noisy-neighbor interference (healthy app, unmonitored batch job beside %s)\n", interferenceVictim)
-	fmt.Fprintf(&b, "%-13s %-11s %-7s %s\n", "metric set", "period", "alarm", "blamed")
+	t := Table{
+		Title:  fmt.Sprintf("Noisy-neighbor interference (healthy app, unmonitored batch job beside %s)", interferenceVictim),
+		Header: []string{"metric set", "period", "alarm", "blamed"},
+		Widths: []int{13, 11, 7},
+	}
 	for _, row := range r.Rows {
 		blamed := "-"
 		if row.AlarmRaised {
@@ -77,9 +80,9 @@ func (r *InterferenceResult) String() string {
 		if row.Interfered {
 			period = "batch job"
 		}
-		fmt.Fprintf(&b, "%-13s %-11s %-7v %s\n", row.Preset, period, row.AlarmRaised, blamed)
+		t.Rows = append(t.Rows, []string{row.Preset, period, strconv.FormatBool(row.AlarmRaised), blamed})
 	}
-	return b.String()
+	return t.String()
 }
 
 // CollectInterferedProduction collects healthy production data from the

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"causalfl/internal/apps"
@@ -50,22 +51,21 @@ type RepairResult struct {
 
 // String renders the result.
 func (r *RepairResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Counterfactual repair (verdict-ranked minimal fix sets)\n")
-	fmt.Fprintf(&b, "%-12s %-10s %-10s %-26s %-7s %-10s %-9s %s\n",
-		"app", "fault", "verdict", "minimal fix set", "score", "slo", "true-fix", "replays")
-	trueFixes, total := 0, 0
+	t := Table{
+		Title:  "Counterfactual repair (verdict-ranked minimal fix sets)",
+		Header: []string{"app", "fault", "verdict", "minimal fix set", "score", "slo", "true-fix", "replays"},
+		Widths: []int{12, 10, 10, 26, 7, 10, 9},
+	}
+	trueFixes := 0
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-12s %-10s %-10s %-26s %-7.4f %-10s %-9v %d\n",
-			row.App, row.Target, row.VerdictTop, row.FixSet, row.Score,
-			sloVerdict(row.MeetsSLO), row.TrueFix, row.Replays)
-		total++
+		t.Rows = append(t.Rows, []string{row.App, row.Target, row.VerdictTop, row.FixSet,
+			fmt.Sprintf("%.4f", row.Score), sloVerdict(row.MeetsSLO), strconv.FormatBool(row.TrueFix), strconv.Itoa(row.Replays)})
 		if row.TrueFix {
 			trueFixes++
 		}
 	}
-	fmt.Fprintf(&b, "true fix in top-ranked set: %d/%d\n", trueFixes, total)
-	return b.String()
+	t.Footer = []string{fmt.Sprintf("true fix in top-ranked set: %d/%d", trueFixes, len(r.Rows))}
+	return t.String()
 }
 
 // sloVerdict renders an SLO outcome.

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"causalfl/internal/core"
@@ -118,16 +119,41 @@ func (r *Report) finalize() {
 
 // String renders the report as a fixed-width table with one row per fault.
 func (r *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s @ %.0fx load (%d services, metrics: %s)\n",
-		r.App, r.Multiplier, r.ServiceCount, strings.Join(r.MetricNames, ","))
-	fmt.Fprintf(&b, "%-10s %-8s %-6s %s\n", "fault", "correct", "info", "candidates")
-	for _, o := range r.Outcomes {
-		fmt.Fprintf(&b, "%-10s %-8v %-6.2f %s\n",
-			o.Target, o.Correct, o.Informativeness, strings.Join(o.Candidates, ","))
+	t := Table{
+		Title: fmt.Sprintf("%s @ %.0fx load (%d services, metrics: %s)",
+			r.App, r.Multiplier, r.ServiceCount, strings.Join(r.MetricNames, ",")),
+		Header: []string{"fault", "correct", "info", "candidates"},
+		Widths: []int{10, 8, 6},
+		Footer: []string{fmt.Sprintf("accuracy=%.2f informativeness=%.2f", r.Accuracy, r.MeanInformativeness)},
 	}
-	fmt.Fprintf(&b, "accuracy=%.2f informativeness=%.2f\n", r.Accuracy, r.MeanInformativeness)
-	return b.String()
+	for _, o := range r.Outcomes {
+		t.Rows = append(t.Rows, []string{o.Target, strconv.FormatBool(o.Correct),
+			fmt.Sprintf("%.2f", o.Informativeness), strings.Join(o.Candidates, ",")})
+	}
+	return t.String()
+}
+
+// Abstentions counts the outcomes where the localizer declined to answer.
+func (r *Report) Abstentions() int {
+	n := 0
+	for _, o := range r.Outcomes {
+		if o.Abstained {
+			n++
+		}
+	}
+	return n
+}
+
+// MeanCoverage averages the outcomes' metric coverage (0 with no outcomes).
+func (r *Report) MeanCoverage() float64 {
+	if len(r.Outcomes) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, o := range r.Outcomes {
+		sum += o.Coverage
+	}
+	return sum / float64(len(r.Outcomes))
 }
 
 // Misses lists the targets that were localized incorrectly, sorted.

@@ -3,90 +3,40 @@ package eval
 import (
 	"context"
 	"fmt"
-	"strings"
+	"strconv"
 	"time"
 
 	"causalfl/internal/apps/synth"
 	"causalfl/internal/metrics"
 )
 
-// ScalabilityRow is one application size in the scalability experiment.
-type ScalabilityRow struct {
-	Services        int
-	Targets         int
-	Accuracy        float64
-	Informativeness float64
-	// TrainWall and EvalWall are host wall-clock costs of the campaigns
-	// (the training cost also proxies the real-world injection budget:
-	// one fault window per target).
-	TrainWall time.Duration
-	EvalWall  time.Duration
-}
+// ScalabilitySizes are the default application sizes swept.
+var ScalabilitySizes = []int{9, 18, 36}
 
-// ScalabilityResult measures localization quality and cost as the
+// RunScalabilityExtension measures localization quality and cost as the
 // application grows — the production-scale regime (40+ services per call
 // graph, per the Alibaba study the paper cites) that the 9- and 12-service
 // benchmarks cannot probe. The dominant cost is inherent to the method:
 // Algorithm 1 needs one fault-injection window per service, so training time
-// grows linearly in application size.
-type ScalabilityResult struct {
-	Rows []ScalabilityRow
-}
-
-// String renders the scaling table.
-func (r *ScalabilityResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scalability on generated topologies (derived metrics, 1x load)\n")
-	fmt.Fprintf(&b, "%-9s %-8s %-9s %-16s %-11s %s\n",
-		"services", "targets", "accuracy", "informativeness", "train-wall", "eval-wall")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-9d %-8d %-9.2f %-16.2f %-11s %s\n",
-			row.Services, row.Targets, row.Accuracy, row.Informativeness,
-			row.TrainWall.Round(time.Millisecond), row.EvalWall.Round(time.Millisecond))
+// grows linearly in application size (the train wall also proxies the
+// real-world injection budget). Arms are labelled by service count.
+func RunScalabilityExtension(ctx context.Context, o Options) (*ExperimentResult, error) {
+	e := Experiment{
+		Title:  "Scalability on generated topologies (derived metrics, 1x load)",
+		Header: []string{"services", "targets", "accuracy", "informativeness", "train-wall", "eval-wall"},
+		Widths: []int{9, 8, 9, 16, 11},
+		Cells: func(a ArmResult) []string {
+			return append(append([]string{strconv.Itoa(len(a.Model.Targets))}, accuracyCells(a)...),
+				a.TrainWall.Round(time.Millisecond).String(), a.EvalWall.Round(time.Millisecond).String())
+		},
 	}
-	return b.String()
-}
-
-// ScalabilitySizes are the default application sizes swept.
-var ScalabilitySizes = []int{9, 18, 36}
-
-// RunScalabilityExtension sweeps application sizes.
-func RunScalabilityExtension(ctx context.Context, o Options) (*ScalabilityResult, error) {
-	result := &ScalabilityResult{}
-	clk := o.WallClock()
 	for _, n := range ScalabilitySizes {
-		seed := o.Seed
-		if seed == 0 {
-			seed = 42
-		}
-		build, err := synth.Builder(synth.Config{Services: n, Seed: seed})
+		build, err := synth.Builder(synth.Config{Services: n, Seed: o.EffectiveSeed()})
 		if err != nil {
 			return nil, fmt.Errorf("eval: scalability n=%d: %w", n, err)
 		}
 		cfg := o.Apply(Config{Build: build, Metrics: metrics.DerivedAll()})
-
-		trainStart := clk.Now()
-		model, err := Train(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("eval: scalability n=%d train: %w", n, err)
-		}
-		trainWall := clk.Now().Sub(trainStart)
-
-		evalStart := clk.Now()
-		report, err := Evaluate(ctx, cfg, model)
-		if err != nil {
-			return nil, fmt.Errorf("eval: scalability n=%d eval: %w", n, err)
-		}
-		evalWall := clk.Now().Sub(evalStart)
-
-		result.Rows = append(result.Rows, ScalabilityRow{
-			Services:        n,
-			Targets:         len(model.Targets),
-			Accuracy:        report.Accuracy,
-			Informativeness: report.MeanInformativeness,
-			TrainWall:       trainWall,
-			EvalWall:        evalWall,
-		})
+		e.Trials = append(e.Trials, Trial{Train: cfg, Arms: []Arm{{Labels: []string{strconv.Itoa(n)}, Test: cfg}}})
 	}
-	return result, nil
+	return e.Run(ctx, o)
 }

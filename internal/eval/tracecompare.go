@@ -37,23 +37,27 @@ type TraceComparisonResult struct {
 
 // String renders the per-fault comparison.
 func (r *TraceComparisonResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Tracing vs interventional causal learning (CausalBench)\n")
-	fmt.Fprintf(&b, "%-8s %-32s %s\n", "fault", "trace RCA", "causalfl")
-	mark := func(ok bool) string {
+	t := Table{
+		Title:  "Tracing vs interventional causal learning (CausalBench)",
+		Header: []string{"fault", "trace RCA", "causalfl"},
+		Widths: []int{8, 32},
+		Footer: []string{
+			fmt.Sprintf("trace RCA: accuracy=%.2f informativeness=%.2f", r.TraceAccuracy, r.TraceInfo),
+			fmt.Sprintf("causalfl : accuracy=%.2f informativeness=%.2f", r.OurAccuracy, r.OurInfo),
+		},
+	}
+	verdict := func(ok bool, candidates []string) string {
+		mark := "-"
 		if ok {
-			return "+"
+			mark = "+"
 		}
-		return "-"
+		return fmt.Sprintf("%s {%s}", mark, strings.Join(candidates, ","))
 	}
 	for _, row := range r.Rows {
-		traceCol := fmt.Sprintf("%s {%s}", mark(row.TraceCorrect), strings.Join(row.TraceCandidates, ","))
-		fmt.Fprintf(&b, "%-8s %-32s %s {%s}\n",
-			row.Target, traceCol, mark(row.OurCorrect), strings.Join(row.OurCandidates, ","))
+		t.Rows = append(t.Rows, []string{row.Target,
+			verdict(row.TraceCorrect, row.TraceCandidates), verdict(row.OurCorrect, row.OurCandidates)})
 	}
-	fmt.Fprintf(&b, "trace RCA: accuracy=%.2f informativeness=%.2f\n", r.TraceAccuracy, r.TraceInfo)
-	fmt.Fprintf(&b, "causalfl : accuracy=%.2f informativeness=%.2f\n", r.OurAccuracy, r.OurInfo)
-	return b.String()
+	return t.String()
 }
 
 // RunTraceComparison trains the causal model, then for every fault target

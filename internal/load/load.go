@@ -168,8 +168,10 @@ func NewGenerator(app *apps.App, cfg Config) (*Generator, error) {
 	if cfg.Multiplier == 0 {
 		cfg.Multiplier = 1
 	}
-	if cfg.Multiplier < 0 {
-		return nil, fmt.Errorf("load: negative multiplier %v", cfg.Multiplier)
+	// An infinite multiplier makes every Poisson gap zero and a NaN one
+	// makes it undefined; either stalls the engine at one virtual instant.
+	if !(cfg.Multiplier > 0 && cfg.Multiplier <= math.MaxFloat64) {
+		return nil, fmt.Errorf("load: multiplier %v is not a positive finite number", cfg.Multiplier)
 	}
 	if d := cfg.Diurnal; d != nil {
 		if d.Period <= 0 {

@@ -165,6 +165,8 @@ func TestGeneratorValidation(t *testing.T) {
 		{Users: -1},
 		{ThinkTime: -time.Second},
 		{Multiplier: -2},
+		{Multiplier: math.NaN()},
+		{Multiplier: math.Inf(1)},
 	}
 	for i, cfg := range cases {
 		if _, err := NewGenerator(app, cfg); err == nil {

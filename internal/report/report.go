@@ -19,6 +19,10 @@ import (
 
 // Section is one named experiment in the report.
 type Section struct {
+	// Key identifies the section as "group/name" or "group". causalfl
+	// tables, figures, extensions and scale print the sections of their
+	// group; the name is the value of a selector flag (-table 1, -fig 2).
+	Key string
 	// Title is the Markdown heading.
 	Title string
 	// Run produces the section body (the experiment's String output).
@@ -28,58 +32,58 @@ type Section struct {
 // Sections returns the full evaluation in presentation order.
 func Sections() []Section {
 	return []Section{
-		{"Table I — accuracy and informativeness", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"tables/1", "Table I — accuracy and informativeness", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunTableI(ctx, o)
 		}},
-		{"Table II — metric sets under load drift", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"tables/2", "Table II — metric sets under load drift", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return arena.RunTableII(ctx, o)
 		}},
-		{"Fig. 1 — metric-dependent causal worlds", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"figures/1", "Fig. 1 — metric-dependent causal worlds", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunFig1(ctx, o)
 		}},
-		{"Fig. 2 — the load confounder", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"figures/2", "Fig. 2 — the load confounder", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunFig2(ctx, o)
 		}},
-		{"§VI-B — causal sets for an intervention on B", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"figures/causal-sets", "§VI-B — causal sets for an intervention on B", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunCausalSetsExample(ctx, o)
 		}},
-		{"§III-B — logging discipline changes the causal world", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"figures/logging", "§III-B — logging discipline changes the causal world", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunLoggingDiscipline(ctx, o)
 		}},
-		{"Extension — fault-type generalization", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"extensions/fault-type", "Extension — fault-type generalization", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunFaultTypeExtension(ctx, o)
 		}},
-		{"Extension — concurrent faults", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"extensions/multi-fault", "Extension — concurrent faults", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunMultiFaultExtension(ctx, o)
 		}},
-		{"Extension — tracing comparison", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"extensions/tracing", "Extension — tracing comparison", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunTraceComparison(ctx, o)
 		}},
-		{"Extension — nonstationary load", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"extensions/nonstationary", "Extension — nonstationary load", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return arena.RunNonstationaryExtension(ctx, o)
 		}},
-		{"Extension — noisy-neighbor interference", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"extensions/interference", "Extension — noisy-neighbor interference", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunInterferenceExtension(ctx, o)
 		}},
-		{"Extension — contaminated baseline", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"extensions/contamination", "Extension — contaminated baseline", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunContaminationExtension(ctx, o)
 		}},
-		{"Extension — training budget", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"extensions/budget", "Extension — training budget", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunBudgetExtension(ctx, o)
 		}},
-		{"Extension — scalability", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"scale", "Extension — scalability", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunScalabilityExtension(ctx, o)
 		}},
-		{"Extension — degraded telemetry (CausalBench)", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"degraded/causalbench", "Extension — degraded telemetry (CausalBench)", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunDegradationSweep(ctx, o, causalbench.Build, causalbench.Name, nil)
 		}},
-		{"Extension — degraded telemetry (Robot-shop)", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"degraded/robotshop", "Extension — degraded telemetry (Robot-shop)", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunDegradationSweep(ctx, o, robotshop.Build, robotshop.Name, nil)
 		}},
-		{"Extension — counterfactual repair", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"repair", "Extension — counterfactual repair", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunRepairExtension(ctx, o)
 		}},
-		{"Extension — baseline arena", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"arena", "Extension — baseline arena", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			// The arena keeps its virtual per-cell clock (Clock nil) so the
 			// section body is byte-stable across regenerations; the section's
 			// own wall timing below still reports the host cost.
@@ -102,7 +106,7 @@ func Generate(ctx context.Context, o eval.Options, w io.Writer) error {
 	if o.Quick {
 		mode = "abbreviated (2.5-minute collection periods)"
 	}
-	if _, err := fmt.Fprintf(w, "# causalfl evaluation report\n\nMode: %s. Seed: %d.\n", mode, effectiveSeed(o)); err != nil {
+	if _, err := fmt.Fprintf(w, "# causalfl evaluation report\n\nMode: %s. Seed: %d.\n", mode, o.EffectiveSeed()); err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
 
@@ -135,12 +139,4 @@ func Generate(ctx context.Context, o eval.Options, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// effectiveSeed mirrors Options.Apply's default.
-func effectiveSeed(o eval.Options) int64 {
-	if o.Seed == 0 {
-		return 42
-	}
-	return o.Seed
 }
