@@ -2,20 +2,27 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-parallel bench-stream bench-scale demo-stream demo-serve demo-arena report report-diff tables figures clean
+.PHONY: all check build test perfbench-check test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-parallel bench-stream bench-scale demo-stream demo-serve demo-arena report report-diff tables figures clean
 
 all: check
 
 # The default verification path: compile, static checks (go vet plus the
-# project's own causalfl-vet analyzers), full tests, the race detector
-# over the library packages, and the end-to-end demos.
-check: build vet lint test race demo-stream demo-serve demo-arena
+# project's own causalfl-vet analyzers), full tests, the nested benchmark
+# module, the race detector over the library packages, and the end-to-end
+# demos.
+check: build vet lint test perfbench-check race demo-stream demo-serve demo-arena
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is its own module (replace causalfl => ../), so the root
+# `go build ./...` never compiles it; vet and test it here so a change to an
+# API it calls cannot break the benchmark unnoticed. A few seconds, offline.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Skips the simulation campaigns; unit and property tests only.
 test-short:

@@ -10,6 +10,7 @@
 //	causalfl figures  [-fig 1|2|causal-sets] [-quick] [-seed N]
 //	causalfl train    -app causalbench|robotshop [-metrics preset] [-out model.json] [-quick]
 //	causalfl localize -app causalbench|robotshop -model model.json -fault SVC [-mult M]
+//	causalfl localize -model model.json -production snapshot.json
 //	causalfl evaluate -app causalbench|robotshop [-metrics preset] [-mult M] [-quick]
 //	causalfl arena    [-app causalbench|robotshop|both] [-mults 1,4] [-losses 0,0.2] [-quick] [-seed N] [-workers N] [-json] [-out FILE]
 //	causalfl topology -app causalbench|robotshop
@@ -23,7 +24,7 @@
 //	causalfl bench    [-quick] [-seed N] [-out BENCH_parallel.json] [-stream]
 //	causalfl explain  -app causalbench|robotshop -fault SVC[,SVC...] [-model model.json] [-quick] [-json] [-out report.json]
 //	causalfl watch    -app causalbench|robotshop [-model model.json] [-fault SVC] [-inject-at 3m] [-duration 10m] [-out verdicts.json]
-//	causalfl serve    [-addr :8080] [-snapshot-dir DIR] [-model model.json] [-queue N] [-snapshot-every N]
+//	causalfl serve    [-addr :8080] [-snapshot-dir DIR] [-metrics preset] [-queue N] [-snapshot-every N]
 //	causalfl diff     -old old.json -new new.json
 package main
 
@@ -306,7 +307,13 @@ func cmdLocalize(ctx context.Context, args []string) error {
 		if err := json.Unmarshal(blob, &snap); err != nil {
 			return fmt.Errorf("decode production snapshot: %w", err)
 		}
-		if err := snap.Validate(); err != nil {
+		// Degraded telemetry may drop (metric, service) pairs; the localizer
+		// skips those, abstaining if nothing is left to test. A snapshot
+		// over a different universe is a mix-up, not degradation.
+		if err := snap.ValidateTolerant(); err != nil {
+			return fmt.Errorf("production snapshot: %w", err)
+		}
+		if err := universeMatches(model, &snap); err != nil {
 			return fmt.Errorf("production snapshot: %w", err)
 		}
 		production = &snap
@@ -340,9 +347,37 @@ func cmdLocalize(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	if loc.Abstained {
+		fmt.Println("localized to:      abstained (no metric had a testable pair)")
+		return nil
+	}
 	fmt.Printf("localized to:      %s\n", strings.Join(loc.Candidates, ", "))
 	for _, m := range model.Metrics {
 		fmt.Printf("  A(%s) = {%s}\n", m, strings.Join(loc.Anomalies[m], ", "))
+	}
+	return nil
+}
+
+// universeMatches checks that a production snapshot declares every metric
+// and service the model was trained on.
+func universeMatches(model *core.Model, snap *metrics.Snapshot) error {
+	declaredM := make(map[string]bool, len(snap.Metrics))
+	for _, m := range snap.Metrics {
+		declaredM[m] = true
+	}
+	for _, m := range model.Metrics {
+		if !declaredM[m] {
+			return fmt.Errorf("snapshot does not declare model metric %q", m)
+		}
+	}
+	declaredS := make(map[string]bool, len(snap.Services))
+	for _, svc := range snap.Services {
+		declaredS[svc] = true
+	}
+	for _, svc := range model.Services {
+		if !declaredS[svc] {
+			return fmt.Errorf("snapshot does not declare model service %q", svc)
+		}
 	}
 	return nil
 }

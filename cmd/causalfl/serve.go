@@ -6,25 +6,44 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"time"
 
-	"causalfl/internal/core"
 	"causalfl/internal/metrics"
 	"causalfl/internal/serve"
-	"causalfl/internal/webui"
 )
 
+// Connection timeouts for the serve listener. ReadHeaderTimeout bounds how
+// long a client may take to send its request headers, and IdleTimeout how
+// long a kept-alive connection may sit between requests, so a slow or stalled
+// client cannot hold a connection forever. There is deliberately no
+// ReadTimeout or WriteTimeout: verdict long-polls (?wait=1) park for as long
+// as the next hop takes, and large ingest bodies stream in at the client's
+// pace (the body size is capped by the handler instead).
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the serve listener with its connection timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // cmdServe runs the long-running localization service: the multi-tenant
-// streaming API from internal/serve (bounded ingest queues, crash-safe
-// snapshots, restore-on-boot) with the webui dashboard mounted beside it.
-// On SIGINT/SIGTERM parked verdict long-polls are released, the HTTP
-// listener stops, every tenant flushes its queue and writes a final
-// snapshot, and only then does the process exit — so the next boot resumes
-// exactly where this one stopped.
+// streaming API and live dashboard from internal/serve (bounded ingest
+// queues, crash-safe snapshots, restore-on-boot). On SIGINT/SIGTERM parked
+// verdict long-polls are released, the HTTP listener stops, every tenant
+// flushes its queue and writes a final snapshot, and only then does the
+// process exit — so the next boot resumes exactly where this one stopped.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	dir := fs.String("snapshot-dir", "causalfl-serve", "directory for crash-safe tenant snapshots")
-	modelPath := fs.String("model", "", "trained model JSON; also mounts the model explorer and /localize (optional — tenants carry their own models)")
 	preset := fs.String("metrics", "", "default metric preset for new tenants (default "+metrics.SetRawAll+")")
 	queue := fs.Int("queue", 0, fmt.Sprintf("default per-tenant ingest queue capacity in batches (default %d)", serve.DefaultQueueCap))
 	snapEvery := fs.Int("snapshot-every", 0, fmt.Sprintf("default snapshot cadence in processed batches, negative disables periodic snapshots (default %d)", serve.DefaultSnapshotEvery))
@@ -45,31 +64,8 @@ func cmdServe(ctx context.Context, args []string) error {
 		return err
 	}
 
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", api.Handler())
-	mux.Handle("/healthz", api.Handler())
-	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			return fmt.Errorf("open model: %w", err)
-		}
-		model, err := core.ReadModel(f)
-		_ = f.Close() // read-only; nothing to flush
-		if err != nil {
-			return err
-		}
-		ui, err := webui.NewServer(model)
-		if err != nil {
-			return err
-		}
-		mux.Handle("/", ui)
-	} else {
-		mux.Handle("GET /dashboard", webui.Dashboard())
-		mux.Handle("GET /{$}", http.RedirectHandler("/dashboard", http.StatusFound))
-	}
-
 	restored := len(api.Stats().Tenants)
-	hs := &http.Server{Addr: *addr, Handler: mux}
+	hs := newHTTPServer(*addr, api.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "serving on %s (snapshots in %s, %d tenant(s) restored)\n", *addr, store.Dir(), restored)

@@ -35,7 +35,6 @@ var wallRestricted = []string{
 	"internal/parallel",
 	"internal/stream",
 	"internal/serve",
-	"internal/webui",
 }
 
 // deterministicPkg reports whether pkg is in the wall-clock-restricted

@@ -5,13 +5,12 @@ import (
 	"fmt"
 
 	"causalfl/internal/metrics"
-	"causalfl/internal/parallel"
 	"causalfl/internal/stats"
 )
 
 // DetectConfig configures one Detect call. The zero value is usable: guarded
 // KS test, DefaultAlpha, per-test thresholds (no FDR control), strict
-// completeness, serial execution.
+// completeness.
 type DetectConfig struct {
 	// Test is the two-sample test; nil selects the library default (a KS
 	// test wrapped in the practical-equivalence guard).
@@ -31,12 +30,6 @@ type DetectConfig struct {
 	// non-finite production values, are skipped instead of failing the
 	// call. Strict mode errors on the first missing pair.
 	Tolerant bool
-	// Workers bounds the fan-out of the per-service tests. Zero or one runs
-	// serially — detection families are small, and callers that already fan
-	// out per metric (the localizer) must not nest pools. The family
-	// decision is always made once over the complete family, whatever the
-	// worker count, so FDR semantics do not depend on parallelism.
-	Workers int
 }
 
 // Detection is the outcome of one Detect call over a single metric.
@@ -52,9 +45,10 @@ type Detection struct {
 // Detect computes the anomalous set A(metric) by comparing each service's
 // production series against its baseline series (Algorithm 2 lines 8–13). It
 // is the single detection entry point shared by the localizer, the baseline
-// techniques, and the figure experiments; the per-test-versus-FDR choice,
-// strict-versus-tolerant completeness, and parallelism are all DetectConfig
-// fields rather than separate functions.
+// techniques, and the figure experiments; the per-test-versus-FDR choice and
+// strict-versus-tolerant completeness are DetectConfig fields rather than
+// separate functions. Families are small, so the tests run serially; callers
+// that want parallelism fan out across metrics.
 func Detect(ctx context.Context, cfg DetectConfig, baseline, production *metrics.Snapshot, metric string) (*Detection, error) {
 	if baseline == nil {
 		return nil, fmt.Errorf("core: detect: nil baseline snapshot")
@@ -78,8 +72,6 @@ func Detect(ctx context.Context, cfg DetectConfig, baseline, production *metrics
 		minSamples = DefaultMinSamples
 	}
 
-	// Assemble the testable family serially — cheap map lookups whose skip
-	// decisions must not depend on scheduling — then fan the p-values out.
 	type pair struct{ prod, base []float64 }
 	var family []string
 	var pairs []pair
@@ -109,23 +101,20 @@ func Detect(ctx context.Context, cfg DetectConfig, baseline, production *metrics
 		pairs = append(pairs, pair{prod: prod, base: base})
 	}
 
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	pvals, err := parallel.Map(ctx, workers, len(family), func(_ context.Context, i int) (float64, error) {
-		p, err := test.PValue(pairs[i].prod, pairs[i].base)
-		if err != nil {
-			return 0, fmt.Errorf("core: anomaly test %s on %s: %w", metric, family[i], err)
-		}
-		return p, nil
-	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	pvals := make([]float64, len(family))
+	for i, pr := range pairs {
+		p, err := test.PValue(pr.prod, pr.base)
+		if err != nil {
+			return nil, fmt.Errorf("core: anomaly test %s on %s: %w", metric, family[i], err)
+		}
+		pvals[i] = p
+	}
 
-	// The family decision runs once over every p-value — never per shard —
-	// so Benjamini-Hochberg sees the same family a serial loop would.
+	// The family decision runs once over every p-value, so Benjamini-Hochberg
+	// sees the whole family.
 	shifted, err := DecideFamily(pvals, alpha, cfg.FDR)
 	if err != nil {
 		return nil, fmt.Errorf("core: anomalies: %w", err)

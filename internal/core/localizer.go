@@ -63,9 +63,8 @@ func NewLocalizer(opts ...Option) (*Localizer, error) {
 	return &Localizer{settings: s}, nil
 }
 
-// detectConfig builds the per-metric Detect configuration. Workers stays 1:
-// the localizer fans out across metrics, and nesting a second pool inside
-// each metric would oversubscribe the scheduler without adding parallelism.
+// detectConfig builds the per-metric Detect configuration; the localizer
+// fans out across metrics.
 func (lo *Localizer) detectConfig(alpha float64) DetectConfig {
 	return DetectConfig{
 		Test:       lo.test,
@@ -73,7 +72,6 @@ func (lo *Localizer) detectConfig(alpha float64) DetectConfig {
 		FDR:        lo.fdrQ,
 		MinSamples: lo.minSamples,
 		Tolerant:   true,
-		Workers:    1,
 	}
 }
 

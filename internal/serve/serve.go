@@ -78,13 +78,15 @@ func NewServer(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the HTTP API.
+// Handler returns the HTTP API and the live dashboard.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // routes wires the API. Method-qualified patterns give wrong-method requests
 // an automatic 405 with an Allow header.
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
+	s.mux.Handle("GET /{$}", http.RedirectHandler("/dashboard", http.StatusFound))
+	s.mux.HandleFunc("GET /dashboard", handleDashboard)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/tenants", s.handleListTenants)

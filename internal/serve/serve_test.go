@@ -517,3 +517,80 @@ func TestRunDrained(t *testing.T) {
 		}
 	})
 }
+
+// TestDashboardPage checks the live dashboard is mounted and self-contained:
+// it drives the tenant list, the verdict long-poll and the stats endpoint.
+func TestDashboardPage(t *testing.T) {
+	srv, _, _ := newTestServer(t, t.TempDir())
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/dashboard", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /dashboard = %d", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
+		t.Fatalf("dashboard content-type %q", ct)
+	}
+	body := rec.Body.String()
+	for _, want := range []string{"/v1/tenants", "wait=1", "out_of_order"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("dashboard missing %q", want)
+		}
+	}
+}
+
+// getRoute serves one request on srv's handler and returns the recording.
+func getRoute(srv *Server, method, path string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+	return rec
+}
+
+// TestRootRedirectsToDashboard pins the index route: GET / sends the browser
+// to the live dashboard.
+func TestRootRedirectsToDashboard(t *testing.T) {
+	srv, _, _ := newTestServer(t, t.TempDir())
+	if rec := getRoute(srv, http.MethodGet, "/"); rec.Code != http.StatusFound || rec.Header().Get("Location") != "/dashboard" {
+		t.Fatalf("GET / = %d to %q, want 302 to /dashboard", rec.Code, rec.Header().Get("Location"))
+	}
+}
+
+// TestHealthzAnswersOK pins the health probe's status and body.
+func TestHealthzAnswersOK(t *testing.T) {
+	srv, _, _ := newTestServer(t, t.TempDir())
+	if rec := getRoute(srv, http.MethodGet, "/healthz"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ok"`) {
+		t.Fatalf("GET /healthz = %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestUnknownPathsNotFound checks that any path beside the declared routes,
+// including the removed explorer pages, is a 404.
+func TestUnknownPathsNotFound(t *testing.T) {
+	srv, _, _ := newTestServer(t, t.TempDir())
+	for _, path := range []string{"/nope", "/worlds", "/dashboard/x"} {
+		if rec := getRoute(srv, http.MethodGet, path); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, rec.Code)
+		}
+	}
+	if rec := getRoute(srv, http.MethodPost, "/localize"); rec.Code != http.StatusNotFound {
+		t.Errorf("POST /localize = %d, want 404", rec.Code)
+	}
+}
+
+// TestRootRoutesMethodHygiene pins the 405 contract on the routes beside the
+// API: a wrong method gets an Allow header naming GET, not a 404.
+func TestRootRoutesMethodHygiene(t *testing.T) {
+	srv, _, _ := newTestServer(t, t.TempDir())
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/"},
+		{http.MethodPost, "/dashboard"},
+		{http.MethodDelete, "/healthz"},
+	} {
+		rec := getRoute(srv, tc.method, tc.path)
+		if rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s = %d, want 405", tc.method, tc.path, rec.Code)
+		}
+		if allow := rec.Header().Get("Allow"); !strings.Contains(allow, http.MethodGet) {
+			t.Errorf("%s %s Allow = %q, want GET listed", tc.method, tc.path, allow)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"causalfl/internal/core"
@@ -12,38 +11,19 @@ import (
 	"causalfl/internal/stats"
 )
 
-// testMode selects the per-pair p-value path. The incremental fast paths
-// cover the library defaults (raw KS and guarded KS); any other
-// stats.TwoSampleTest falls back to materializing the arrival-order window,
-// which is still correct (byte-identical to batch) but pays the test's own
-// cost per hop.
-type testMode int
-
-const (
-	modeGuardedKS testMode = iota // GuardedTest{Inner: KSTest} or nil Test
-	modeRawKS                     // bare KSTest
-	modeGeneric                   // anything else: materialize and delegate
-)
-
 // pairState is the per-(metric, service) streaming state.
 type pairState struct {
-	// base is the baseline series in snapshot order, the exact slice the
-	// batch path would pass as the test's second sample. Nil in sketch mode,
-	// where the incremental state carries the baseline summary instead.
-	base []float64
-	// baseLen is the baseline series length — len(base) in exact mode, the
-	// original length in sketch mode.
+	// baseLen is the baseline series length.
 	baseLen int
 	// ks is the incremental state; nil when the pair has no usable baseline
 	// (empty series), in which case the pair can never be tested.
 	ks *stats.IncrementalKS
 	// seen records whether the pair ever received a production value. A
 	// batch snapshot only contains pairs that were observed; an unseen pair
-	// must be skipped (tolerant) or fail (strict) exactly as a missing
-	// snapshot entry would.
+	// is skipped exactly as a missing snapshot entry would be.
 	seen bool
 
-	// Incremental-detection bookkeeping (fast path only). svc, mi and shard
+	// Incremental-detection bookkeeping. svc, mi and shard
 	// locate the pair; dirty marks it for the next flush; testable, pval and
 	// anom cache its contribution to the per-metric detection, valid since
 	// the last flush. nextTestable and nextPval stage the recomputation: the
@@ -59,7 +39,7 @@ type pairState struct {
 	nextPval     float64
 }
 
-// metricAgg is one metric's cached detection aggregate on the fast path: the
+// metricAgg is one metric's cached detection aggregate: the
 // current family size and the sorted anomalous set, maintained incrementally
 // as pair states flip.
 type metricAgg struct {
@@ -86,40 +66,33 @@ func (a *metricAgg) removeAnom(svc string) {
 // Detector maintains sliding-window anomaly detection over a fixed baseline:
 // the streaming counterpart of core.Detect. Feed it production window-values
 // with Observe/ObserveHop and ask for the current anomalous set with Detect;
-// the answer is byte-identical to core.Detect on a snapshot holding each
-// pair's last Window values.
+// the answer is byte-identical to tolerant core.Detect on a snapshot holding
+// each pair's last Window values.
 //
-// In tolerant mode with the (guarded) KS test — the Localizer's
-// configuration — detection is incremental end to end: pair states are
+// Detection has the batch localizer's semantics — tolerant, guarded KS,
+// per-test alpha or BH-FDR — and is incremental end to end: pair states are
 // hash-sharded, Observe only marks a pair dirty, and the flush before the
 // next Detect recomputes exactly the dirty pairs (fanned across the worker
 // pool by shard) before merging their deltas into per-metric aggregates. A
 // hop that touches T pairs costs O(T) test evaluations regardless of how
-// many services exist. Strict mode and generic tests take the full-scan
-// path, which remains correct at any scale but pays O(S) per metric per
-// Detect.
+// many services exist.
 //
-// A Detector is not safe for concurrent use. Parallelism lives inside
-// Detect (the shard/p-value fan-out, WithWorkers) and inside the Localizer's
-// per-metric fan-out, which only reads the flushed states.
+// A Detector is not safe for concurrent use. Parallelism lives inside the
+// flush (the shard fan-out, WithWorkers).
 type Detector struct {
 	baseline *metrics.Snapshot
 	window   int
-	mode     testMode
-	relTol   float64 // guard tolerance for modeGuardedKS
-	test     stats.TwoSampleTest
 	alpha    float64
 	fdr      float64
 	minSamp  int
-	tolerant bool
 	workers  int
 	// states is metric -> service -> state, populated eagerly at
 	// construction for every baseline-backed pair so each baseline series
 	// is sorted (or sketched) exactly once, up front.
 	states map[string]map[string]*pairState
 
-	// Fast-path structures, built only when fast is set (tolerant + KS).
-	fast        bool
+	// Incremental state: dirty pairs per shard and cached per-metric
+	// aggregates, brought current by flush.
 	shards      int
 	dirty       [][]*pairState // per shard: pairs awaiting recomputation
 	byMetric    [][]*pairState // tracked pairs per metric, baseline.Services order
@@ -132,7 +105,7 @@ type Detector struct {
 // NewDetector builds a Detector over the given baseline snapshot. Every
 // baseline series is copied and sorted once here; no per-hop call sorts
 // anything afterwards. The zero option set means: DefaultWindow,
-// guarded-KS test, core.DefaultAlpha, strict completeness, serial execution.
+// core.DefaultAlpha, serial execution.
 func NewDetector(baseline *metrics.Snapshot, opts ...Option) (*Detector, error) {
 	s, err := applyOptions(opts)
 	if err != nil {
@@ -148,16 +121,19 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 		return nil, fmt.Errorf("stream: nil baseline snapshot")
 	}
 	d := &Detector{
-		baseline: baseline,
-		window:   s.window,
-		test:     s.test,
-		alpha:    s.alpha,
-		fdr:      s.fdr,
-		minSamp:  s.minSamples,
-		tolerant: s.tolerant,
-		workers:  s.workers,
-		shards:   s.shards,
-		states:   make(map[string]map[string]*pairState, len(baseline.Metrics)),
+		baseline:    baseline,
+		window:      s.window,
+		alpha:       s.alpha,
+		fdr:         s.fdr,
+		minSamp:     s.minSamples,
+		workers:     s.workers,
+		shards:      s.shards,
+		states:      make(map[string]map[string]*pairState, len(baseline.Metrics)),
+		dirty:       make([][]*pairState, s.shards),
+		byMetric:    make([][]*pairState, len(baseline.Metrics)),
+		metricIndex: make(map[string]int, len(baseline.Metrics)),
+		aggs:        make([]metricAgg, len(baseline.Metrics)),
+		fdrTouched:  make([]bool, len(baseline.Metrics)),
 	}
 	// Resolve defaults exactly as core.Detect does.
 	if d.alpha == 0 && d.fdr == 0 {
@@ -166,36 +142,6 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 	if d.minSamp < 1 {
 		d.minSamp = core.DefaultMinSamples
 	}
-	switch tt := s.test.(type) {
-	case nil:
-		d.mode = modeGuardedKS
-	case stats.KSTest:
-		d.mode = modeRawKS
-	case stats.GuardedTest:
-		if _, ok := tt.Inner.(stats.KSTest); ok {
-			d.mode = modeGuardedKS
-			d.relTol = tt.RelTol
-		} else {
-			d.mode = modeGeneric
-		}
-	default:
-		d.mode = modeGeneric
-	}
-	if d.mode == modeGuardedKS && d.relTol < 0 {
-		return nil, fmt.Errorf("stats: negative relative tolerance %v", d.relTol)
-	}
-	if s.sketchEps > 0 && d.mode == modeGeneric {
-		return nil, fmt.Errorf("stream: sketched baselines require the (guarded) KS test")
-	}
-	d.fast = d.tolerant && d.mode != modeGeneric
-
-	if d.fast {
-		d.dirty = make([][]*pairState, d.shards)
-		d.byMetric = make([][]*pairState, len(baseline.Metrics))
-		d.metricIndex = make(map[string]int, len(baseline.Metrics))
-		d.aggs = make([]metricAgg, len(baseline.Metrics))
-		d.fdrTouched = make([]bool, len(baseline.Metrics))
-	}
 	for mi, m := range baseline.Metrics {
 		bySvc := make(map[string]*pairState, len(baseline.Services))
 		for _, svc := range baseline.Services {
@@ -203,13 +149,12 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 			if !ok {
 				continue
 			}
-			st := &pairState{base: series, baseLen: len(series)}
+			st := &pairState{baseLen: len(series)}
 			if len(series) > 0 {
 				var ks *stats.IncrementalKS
 				var err error
 				if s.sketchEps > 0 {
 					ks, err = stats.NewIncrementalKSSketch(series, s.window, s.sketchEps)
-					st.base = nil
 				} else {
 					ks, err = stats.NewIncrementalKS(series, s.window)
 				}
@@ -218,20 +163,14 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 				}
 				st.ks = ks
 			}
-			bySvc[svc] = st
-			if d.fast {
-				st.svc = svc
-				st.mi = mi
-				st.shard = pairShard(m, svc, d.shards)
-				if st.ks != nil {
-					d.byMetric[mi] = append(d.byMetric[mi], st)
-				}
+			st.svc, st.mi, st.shard = svc, mi, pairShard(m, svc, d.shards)
+			if st.ks != nil {
+				d.byMetric[mi] = append(d.byMetric[mi], st)
 			}
+			bySvc[svc] = st
 		}
 		d.states[m] = bySvc
-		if d.fast {
-			d.metricIndex[m] = mi
-		}
+		d.metricIndex[m] = mi
 	}
 	return d, nil
 }
@@ -261,10 +200,8 @@ func pairShard(metric, svc string, shards int) int {
 func (d *Detector) Window() int { return d.window }
 
 // Observe feeds one production window-value for a (metric, service) pair.
-// The metric and service must be declared in the baseline universe. A pair
-// the baseline does not cover is a silent no-op in tolerant mode (the batch
-// path would skip it) and an error in strict mode (the batch path would fail
-// it at Detect time; failing at ingest surfaces the problem earlier).
+// The metric must be declared in the baseline universe. A pair the baseline
+// does not cover is a silent no-op: the batch path would skip it.
 func (d *Detector) Observe(metric, svc string, v float64) error {
 	bySvc, ok := d.states[metric]
 	if !ok {
@@ -272,10 +209,7 @@ func (d *Detector) Observe(metric, svc string, v float64) error {
 	}
 	st, ok := bySvc[svc]
 	if !ok || st.ks == nil {
-		if d.tolerant {
-			return nil
-		}
-		return fmt.Errorf("stream: observe: baseline has no usable series for metric %q service %q", metric, svc)
+		return nil
 	}
 	st.ks.Push(v)
 	st.seen = true
@@ -285,23 +219,19 @@ func (d *Detector) Observe(metric, svc string, v float64) error {
 
 // touch marks a pair for recomputation at the next flush.
 func (d *Detector) touch(st *pairState) {
-	if !d.fast || st.dirty {
+	if st.dirty {
 		return
 	}
 	st.dirty = true
 	d.dirty[st.shard] = append(d.dirty[st.shard], st)
 }
 
-// flush brings the fast path's cached detection state current: every pair
-// whose window changed since the last flush is recomputed, with the dirty
-// shards fanned across the worker pool (each pair lives in exactly one
-// shard, so the staged writes are disjoint) and the deltas merged serially
-// into the per-metric aggregates. A no-op outside the fast path or when
-// nothing changed.
-func (d *Detector) flush(ctx context.Context, workers int) error {
-	if !d.fast {
-		return nil
-	}
+// flush brings the cached detection state current: every pair whose window
+// changed since the last flush is recomputed, with the dirty shards fanned
+// across the worker pool (each pair lives in exactly one shard, so the
+// staged writes are disjoint) and the deltas merged serially into the
+// per-metric aggregates. A no-op when nothing changed.
+func (d *Detector) flush(ctx context.Context) error {
 	var touched []int
 	for si, pairs := range d.dirty {
 		if len(pairs) > 0 {
@@ -311,6 +241,7 @@ func (d *Detector) flush(ctx context.Context, workers int) error {
 	if len(touched) == 0 {
 		return nil
 	}
+	workers := d.workers
 	if workers < 1 {
 		workers = 1
 	}
@@ -319,7 +250,7 @@ func (d *Detector) flush(ctx context.Context, workers int) error {
 			st.nextTestable = st.seen && st.baseLen >= d.minSamp && st.ks.Len() >= d.minSamp
 			st.nextPval = 0
 			if st.nextTestable {
-				p, err := d.pairPValue(st)
+				p, err := st.ks.GuardedPValue(0)
 				if err != nil {
 					return struct{}{}, fmt.Errorf("stream: anomaly test %s on %s: %w", d.baseline.Metrics[st.mi], st.svc, err)
 				}
@@ -453,156 +384,47 @@ func (d *Detector) Materialize() *metrics.Snapshot {
 }
 
 // Detect computes the current anomalous set A(metric) over the sliding
-// windows, mirroring core.Detect stage by stage: family assembly in baseline
-// service order with the same strict/tolerant skip rules and min-sample
-// guard, and the alpha-vs-FDR family decision made once by core.DecideFamily.
-// On the fast path the answer is assembled from the incrementally maintained
+// windows, byte-identical to tolerant core.Detect on the materialized
+// windows. The answer is assembled from the incrementally maintained
 // aggregates after a flush of the pairs the last hops touched.
 func (d *Detector) Detect(ctx context.Context, metric string) (*core.Detection, error) {
-	if err := d.flush(ctx, d.workers); err != nil {
+	if err := d.flush(ctx); err != nil {
 		return nil, err
 	}
-	return d.detect(ctx, metric, d.workers)
+	return d.detection(metric), nil
 }
 
-// detect is Detect without the flush and with an explicit worker count, so
-// the Localizer can flush once per hop and then fan read-only per-metric
-// detections across its pool (no nested pools — the same discipline
-// core.Localizer applies). The fast path must have been flushed.
-func (d *Detector) detect(ctx context.Context, metric string, workers int) (*core.Detection, error) {
-	if d.fast {
-		mi, ok := d.metricIndex[metric]
-		if !ok {
-			// Batch: production.SeriesOK misses every pair -> empty family.
-			return &core.Detection{Anomalous: []string{}, Tested: 0}, nil
-		}
-		agg := &d.aggs[mi]
-		return &core.Detection{
-			Anomalous: append(make([]string, 0, len(agg.anom)), agg.anom...),
-			Tested:    agg.tested,
-		}, nil
-	}
-
-	bySvc, ok := d.states[metric]
-	if !ok {
-		if d.tolerant {
-			return &core.Detection{Anomalous: []string{}, Tested: 0}, nil
-		}
-		return nil, fmt.Errorf("metrics: snapshot has no metric %q", metric)
-	}
-
-	// Family assembly, serial, in baseline service order — identical skip
-	// decisions to core.Detect's loop over baseline.Services.
-	var family []*pairState
-	var names []string
-	for _, svc := range d.baseline.Services {
-		st := bySvc[svc]
-		if d.tolerant {
-			if st == nil || st.ks == nil || !st.seen {
-				continue
-			}
-			if st.baseLen < d.minSamp || st.ks.Len() < d.minSamp {
-				continue
-			}
-		} else {
-			if st == nil {
-				return nil, fmt.Errorf("metrics: snapshot metric %q has no service %q", metric, svc)
-			}
-			if st.ks == nil || !st.seen {
-				return nil, fmt.Errorf("stream: no production window for metric %q service %q", metric, svc)
-			}
-		}
-		family = append(family, st)
-		names = append(names, svc)
-	}
-
-	if workers < 1 {
-		workers = 1
-	}
-	pvals, err := parallel.Map(ctx, workers, len(family), func(_ context.Context, i int) (float64, error) {
-		p, err := d.pairPValue(family[i])
-		if err != nil {
-			return 0, fmt.Errorf("stream: anomaly test %s on %s: %w", metric, names[i], err)
-		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	shifted, err := core.DecideFamily(pvals, d.alpha, d.fdr)
-	if err != nil {
-		return nil, fmt.Errorf("stream: anomalies: %w", err)
-	}
-	anom := make([]string, 0, len(family))
-	for i, svc := range names {
-		if shifted[i] {
-			anom = append(anom, svc)
-		}
-	}
-	sort.Strings(anom)
-	return &core.Detection{Anomalous: anom, Tested: len(family)}, nil
-}
-
-// pairPValue computes one pair's p-value on the fast incremental path when
-// the configured test is (guarded) KS, or by materializing the window for
-// any other test. The materialized path applies the same finite-values
-// filter the tolerant batch path does.
-func (d *Detector) pairPValue(st *pairState) (float64, error) {
-	switch d.mode {
-	case modeGuardedKS:
-		return st.ks.GuardedPValue(d.relTol)
-	case modeRawKS:
-		return st.ks.PValue()
-	default:
-		prod := st.ks.Window()
-		if d.tolerant {
-			prod = finiteValues(prod)
-		}
-		return d.test.PValue(prod, st.base)
-	}
-}
-
-// DetectAll runs Detect for every baseline metric after a single flush,
-// fanning the metrics across the worker pool with the per-metric work kept
-// serial (the localizer's parallelism shape). The result is aligned with
-// baseline.Metrics by index.
+// DetectAll runs Detect for every baseline metric after a single flush. The
+// result is aligned with baseline.Metrics by index.
 func (d *Detector) DetectAll(ctx context.Context) ([]*core.Detection, error) {
-	workers := d.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if err := d.flush(ctx, workers); err != nil {
+	return d.detectEach(ctx, d.baseline.Metrics)
+}
+
+// detectEach flushes once and copies out the cached detection of each named
+// metric, in order. The Localizer passes its model's metric order, which a
+// model is free to set apart from its baseline's.
+func (d *Detector) detectEach(ctx context.Context, names []string) ([]*core.Detection, error) {
+	if err := d.flush(ctx); err != nil {
 		return nil, err
 	}
-	return parallel.Map(ctx, workers, len(d.baseline.Metrics), func(ctx context.Context, i int) (*core.Detection, error) {
-		return d.detect(ctx, d.baseline.Metrics[i], 1)
-	})
+	out := make([]*core.Detection, len(names))
+	for i, m := range names {
+		out[i] = d.detection(m)
+	}
+	return out, nil
 }
 
-// finiteValues filters non-finite entries, mirroring the unexported helper
-// the tolerant batch path uses (including its no-alloc clean fast path, so
-// a clean window takes the same code shape).
-func finiteValues(s []float64) []float64 {
-	clean := true
-	for _, v := range s {
-		if !isFinite(v) {
-			clean = false
-			break
-		}
+// detection copies one metric's flushed aggregate. A metric the baseline
+// does not declare has an empty family, as in the batch path, where
+// production.SeriesOK misses every pair.
+func (d *Detector) detection(metric string) *core.Detection {
+	mi, ok := d.metricIndex[metric]
+	if !ok {
+		return &core.Detection{Anomalous: []string{}, Tested: 0}
 	}
-	if clean {
-		return s
+	agg := &d.aggs[mi]
+	return &core.Detection{
+		Anomalous: append(make([]string, 0, len(agg.anom)), agg.anom...),
+		Tested:    agg.tested,
 	}
-	out := make([]float64, 0, len(s))
-	for _, v := range s {
-		if isFinite(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }

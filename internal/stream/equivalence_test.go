@@ -14,16 +14,17 @@ import (
 
 // The batch↔stream equivalence property: at every hop, for every worker
 // count and decision mode, the streaming detector's output must be
-// byte-identical to core.Detect run on the materialized sliding window, and
+// byte-identical to tolerant core.Detect run on the materialized sliding
+// window, and
 // the streaming localizer's vote output must be byte-identical to
 // core.Localizer.Localize on the same windows. These tests enforce the
 // property exhaustively over a fault-injected synthetic stream.
 
-// detectOpts translates a batch core.DetectConfig into the stream option
-// list that reproduces it, so each equivalence case states its semantics
-// once in batch terms.
-func detectOpts(window int, cfg core.DetectConfig) []stream.Option {
-	opts := []stream.Option{stream.WithWindow(window), stream.WithTolerant(cfg.Tolerant)}
+// detectOpts translates a tolerant batch core.DetectConfig into the stream
+// option list that reproduces it, so each equivalence case states its
+// semantics once in batch terms. workers is the stream side's flush pool.
+func detectOpts(window, workers int, cfg core.DetectConfig) []stream.Option {
+	opts := []stream.Option{stream.WithWindow(window), stream.WithWorkers(workers)}
 	if cfg.Alpha != 0 {
 		opts = append(opts, stream.WithAlpha(cfg.Alpha))
 	}
@@ -32,9 +33,6 @@ func detectOpts(window int, cfg core.DetectConfig) []stream.Option {
 	}
 	if cfg.MinSamples != 0 {
 		opts = append(opts, stream.WithMinSamples(cfg.MinSamples))
-	}
-	if cfg.Workers != 0 {
-		opts = append(opts, stream.WithWorkers(cfg.Workers))
 	}
 	return opts
 }
@@ -83,8 +81,6 @@ func TestDetectorMatchesBatchEveryHop(t *testing.T) {
 	}{
 		{"alpha-tolerant", noisyDet(w), core.DetectConfig{Alpha: 0.05, Tolerant: true}, false},
 		{"fdr-tolerant", noisyDet(w), core.DetectConfig{FDR: 0.10, Tolerant: true}, false},
-		{"alpha-strict", w.Hops, core.DetectConfig{Alpha: 0.05}, false},
-		{"fdr-strict", w.Hops, core.DetectConfig{FDR: 0.05}, false},
 		{"minsamples-tolerant", noisyDet(w), core.DetectConfig{Alpha: 0.05, Tolerant: true, MinSamples: 6}, false},
 		// BaselineLen 12 <= stats.SketchCutoff(DefaultSketchEps): the sketch
 		// is lossless, so even the sketched detector must match batch exactly.
@@ -97,10 +93,9 @@ func TestDetectorMatchesBatchEveryHop(t *testing.T) {
 	for _, tc := range cases {
 		for workers := 1; workers <= 8; workers++ {
 			cfg := tc.detect
-			cfg.Workers = workers
 			// Vary the shard count with the worker count: detection output
 			// must not depend on either.
-			opts := append(detectOpts(window, cfg), stream.WithShards(workers))
+			opts := append(detectOpts(window, workers, cfg), stream.WithShards(workers))
 			if tc.sketch {
 				opts = append(opts, stream.WithSketch(stream.DefaultSketchEps))
 			}
@@ -202,10 +197,9 @@ func TestLocalizerMatchesBatchEveryHop(t *testing.T) {
 	}
 }
 
-// TestDetectorStrictMissingPair checks that strict mode fails on an
-// unobserved pair the way batch strict mode fails on a missing snapshot
-// entry, and that tolerant mode skips it.
-func TestDetectorStrictMissingPair(t *testing.T) {
+// TestDetectorSkipsUnobservedPair checks that a never-observed pair is
+// skipped the way tolerant batch detection skips a missing snapshot entry.
+func TestDetectorSkipsUnobservedPair(t *testing.T) {
 	base := metrics.NewSnapshot([]string{"m"}, []string{"a", "b"})
 	rng := rand.New(rand.NewSource(5))
 	for _, svc := range []string{"a", "b"} {
@@ -217,20 +211,7 @@ func TestDetectorStrictMissingPair(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	strict, err := stream.NewDetector(base, stream.WithWindow(4), stream.WithAlpha(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := strict.Observe("m", "a", rng.NormFloat64()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := strict.Detect(ctx, "m"); err == nil {
-		t.Fatal("strict detect accepted a never-observed pair")
-	}
-
-	tol, err := stream.NewDetector(base, stream.WithWindow(4), stream.WithAlpha(0.05), stream.WithTolerant(true))
+	tol, err := stream.NewDetector(base, stream.WithWindow(4), stream.WithAlpha(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ func ExampleDetector() {
 	det, err := stream.NewDetector(baseline,
 		stream.WithWindow(6),
 		stream.WithAlpha(0.05),
-		stream.WithTolerant(true),
 	)
 	if err != nil {
 		fmt.Println(err)

@@ -34,8 +34,6 @@ type settings struct {
 	minSamples int
 	workers    int
 	rule       core.VoteRule
-	test       stats.TwoSampleTest
-	tolerant   bool
 	length     time.Duration
 	hop        time.Duration
 	set        []metrics.Metric
@@ -114,8 +112,8 @@ func WithFDR(q float64) Option {
 	}
 }
 
-// WithMinSamples sets the tolerant-mode minimum finite series length per
-// side; the default is core.DefaultMinSamples.
+// WithMinSamples sets the minimum finite series length per side; the
+// default is core.DefaultMinSamples.
 func WithMinSamples(n int) Option {
 	return func(s *settings) error {
 		if n < 1 {
@@ -126,8 +124,8 @@ func WithMinSamples(n int) Option {
 	}
 }
 
-// WithWorkers bounds the per-hop fan-out (across metrics in the Localizer,
-// across dirty shards in the Detector's flush). Zero or one is serial.
+// WithWorkers bounds the per-hop fan-out across dirty shards in the
+// Detector's flush. Zero or one is serial.
 func WithWorkers(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {
@@ -143,30 +141,6 @@ func WithWorkers(n int) Option {
 func WithVoteRule(rule core.VoteRule) Option {
 	return func(s *settings) error {
 		s.rule = rule
-		return nil
-	}
-}
-
-// WithTest overrides the two-sample test. The default (guarded KS) rides the
-// incremental fast path; any other test falls back to materializing the
-// window per hop.
-func WithTest(t stats.TwoSampleTest) Option {
-	return func(s *settings) error {
-		if t == nil {
-			return fmt.Errorf("stream: nil two-sample test")
-		}
-		s.test = t
-		return nil
-	}
-}
-
-// WithTolerant selects degraded-telemetry semantics for a bare Detector:
-// pairs missing on either side are skipped instead of failing the call. The
-// Detector default is strict; the Localizer and Pipeline always detect
-// tolerantly (the batch localizer does too) and ignore this option.
-func WithTolerant(tolerant bool) Option {
-	return func(s *settings) error {
-		s.tolerant = tolerant
 		return nil
 	}
 }
@@ -201,8 +175,8 @@ func WithGeometry(length, hop time.Duration) Option {
 // ECDF sketch of error budget eps (stats.NewECDFSketch): per-pair baseline
 // memory drops from O(len(baseline)) to O(1/eps) and every KS statistic is
 // within the sketch's rank-error bound of exact — bit-identical whenever
-// len(baseline) <= stats.SketchCutoff(eps). Requires the (guarded) KS test;
-// pass DefaultSketchEps when in doubt.
+// len(baseline) <= stats.SketchCutoff(eps). Pass DefaultSketchEps when in
+// doubt.
 func WithSketch(eps float64) Option {
 	return func(s *settings) error {
 		if eps <= 0 || eps >= 1 {

@@ -21,8 +21,9 @@
 // exact baseline whenever the sketch is lossless for it.
 //
 // Equivalence contract: the Detector's per-hop output is byte-identical to
-// core.Detect run on the materialized sliding window (same Test, alpha-vs-FDR
-// family decision, strict-vs-tolerant completeness, min-sample guard), and
+// tolerant core.Detect run on the materialized sliding window (guarded KS
+// test, alpha-vs-FDR family decision, min-sample guard) — the one detection
+// configuration the batch localizer runs — and
 // the Localizer's per-hop votes are produced by the same vote phase
 // (core.Localizer.Aggregate) the batch localizer runs. The conformance suite
 // in this package (equivalence tests, golden corpus, FuzzIncrementalKS in
